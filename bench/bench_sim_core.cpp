@@ -2,31 +2,26 @@
 //
 // Measures the simulation core itself — scheduler throughput, multicast
 // fan-out/delivery machinery, the DetMerge00 heartbeat storm, the
-// open-loop workload storm with the streaming metrics recorder off AND on
-// (their ratio is the recorder-overhead figure), the same storm with the
-// reliable channel substrate off AND on (the per-event throughput ratio is
-// the channel-overhead figure), the storm with the bootstrap plane armed
-// but idle (the fault-free cost of keeping every process rejoin-capable),
-// the batch-size ladder (batching off / max 8 / max 64 — the batch64/
-// batch0 goodput ratio is the amortization headline), and the 100-seed
-// sweep wall-clock (serial and thread-pool; the thread-pool leg is marked
-// skipped on a single-core box) — and emits a machine-readable JSON report
-// (BENCH_PR9.json is the checked-in baseline). Allocation counts come from
-// a global operator new hook, so every figure carries an allocs-per-event
-// column.
+// open-loop workload storm (streaming metrics recorder on, as in every sim
+// run), the same storm with the reliable channel substrate off AND on (the
+// per-event throughput ratio is the channel-overhead figure), the storm
+// with the bootstrap plane armed but idle (the fault-free cost of keeping
+// every process rejoin-capable), the batch-size ladder (batching off / max
+// 8 / max 64 — the batch64/batch0 goodput ratio is the amortization
+// headline), and the 100-seed sweep wall-clock (serial and thread-pool;
+// the thread-pool leg is marked skipped on a single-core box) — and emits
+// a machine-readable JSON report (BENCH_PR10.json is the checked-in
+// baseline). Allocation counts come from a global operator new hook, so
+// every figure carries an allocs-per-event column.
 //
 //   bench_sim_core [--quick] [--jobs N] [--out FILE] [--check BASELINE]
 //
 // --quick   reduced iteration budget (CI smoke).
 // --check   compare events/sec fields against a baseline JSON; exit 1 if
-//           any rate regressed by more than 20%, if the metrics recorder
-//           or the idle bootstrap plane costs more than 5% of sim-core
-//           events/sec, or if the channel substrate costs more than 10%
-//           per fired event.
+//           any rate regressed by more than 20%, if the idle bootstrap
+//           plane costs more than 5% of sim-core events/sec, or if the
+//           channel substrate costs more than 10% per fired event.
 //           Wall-clock fields are machine-dependent and are NOT gated.
-//
-// Intentionally free of the google-benchmark dependency: it must build and
-// run everywhere the library does, including the CI smoke job.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -174,6 +169,22 @@ struct Result {
   std::string note;
 };
 
+// The rate fields of a bench that fired `events` events per repeat: raw
+// figures from the fastest repeat, normalized ones across all repeats.
+Result rateResult(std::string name, std::string note,
+                  const std::vector<Sample>& samples, double events) {
+  const Sample& m = bestOf(samples);
+  Result r;
+  r.name = std::move(name);
+  r.note = std::move(note);
+  r.eventsPerSec = events / m.secs;
+  r.allocsPerEvent = static_cast<double>(m.allocs) / events;
+  r.wallMs = m.secs * 1e3;
+  r.normRate = normRate(samples, events);
+  r.normBest = peakNorm(samples, events);
+  return r;
+}
+
 // 1. Raw scheduler: 64 self-rescheduling POD chains (bucket-local pattern).
 struct Chain {
   wanmc::sim::Scheduler* s;
@@ -185,9 +196,6 @@ struct Chain {
 };
 
 Result benchSchedulerChain(uint64_t events, int repeats) {
-  Result r;
-  r.name = "scheduler_chain";
-  r.note = "self-rescheduling POD events, single bucket";
   uint64_t fired = 0;
   const auto samples = measure(
       [&] {
@@ -197,13 +205,9 @@ Result benchSchedulerChain(uint64_t events, int repeats) {
         s.run();
       },
       repeats);
-  const Sample& m = bestOf(samples);
-  r.eventsPerSec = static_cast<double>(fired) / m.secs;
-  r.allocsPerEvent = static_cast<double>(m.allocs) / static_cast<double>(fired);
-  r.wallMs = m.secs * 1e3;
-  r.normRate = normRate(samples, static_cast<double>(fired));
-  r.normBest = peakNorm(samples, static_cast<double>(fired));
-  return r;
+  return rateResult("scheduler_chain",
+                    "self-rescheduling POD events, single bucket", samples,
+                    static_cast<double>(fired));
 }
 
 // 2. Scheduler under the WAN delay profile: events scatter across the
@@ -224,9 +228,6 @@ struct Scatter {
 };
 
 Result benchSchedulerScatter(uint64_t events, int repeats) {
-  Result r;
-  r.name = "scheduler_scatter";
-  r.note = "self-rescheduling POD events, WAN delay scatter";
   uint64_t fired = 0;
   const auto samples = measure(
       [&] {
@@ -238,13 +239,9 @@ Result benchSchedulerScatter(uint64_t events, int repeats) {
         s.run();
       },
       repeats);
-  const Sample& m = bestOf(samples);
-  r.eventsPerSec = static_cast<double>(fired) / m.secs;
-  r.allocsPerEvent = static_cast<double>(m.allocs) / static_cast<double>(fired);
-  r.wallMs = m.secs * 1e3;
-  r.normRate = normRate(samples, static_cast<double>(fired));
-  r.normBest = peakNorm(samples, static_cast<double>(fired));
-  return r;
+  return rateResult("scheduler_scatter",
+                    "self-rescheduling POD events, WAN delay scatter",
+                    samples, static_cast<double>(fired));
 }
 
 // 3. Full runtime machinery: 3x3 WAN topology, every process multicasts to
@@ -267,9 +264,6 @@ class ProbeNode final : public wanmc::sim::Node {
 };
 
 Result benchMulticastStorm(int rounds, int repeats) {
-  Result r;
-  r.name = "multicast_storm";
-  r.note = "3x3 WAN all-to-all fan-out, runtime delivery path";
   const int kProcs = 9;
   uint64_t deliveries = 0;
   const auto samples = measure(
@@ -298,14 +292,9 @@ Result benchMulticastStorm(int rounds, int repeats) {
             static_cast<uint64_t>(rounds) * kProcs * (kProcs - 1);
       },
       repeats);
-  const Sample& m = bestOf(samples);
-  r.eventsPerSec = static_cast<double>(deliveries) / m.secs;
-  r.allocsPerEvent =
-      static_cast<double>(m.allocs) / static_cast<double>(deliveries);
-  r.wallMs = m.secs * 1e3;
-  r.normRate = normRate(samples, static_cast<double>(deliveries));
-  r.normBest = peakNorm(samples, static_cast<double>(deliveries));
-  return r;
+  return rateResult("multicast_storm",
+                    "3x3 WAN all-to-all fan-out, runtime delivery path",
+                    samples, static_cast<double>(deliveries));
 }
 
 // 4 + 5. The DetMerge00 heartbeat storm: the scenario the ROADMAP singled
@@ -325,9 +314,6 @@ wanmc::testing::Scenario detMergeScenario() {
 }
 
 Result benchHeartbeatStorm(int repeats) {
-  Result r;
-  r.name = "heartbeat_storm";
-  r.note = "one DetMerge00 seed, 900 sim-seconds of heartbeats";
   // ~365k scheduler events per run (9 procs, 200ms period, 8-way fan-out).
   const double kEventsPerRun = 364'500.0;
   const auto samples = measure(
@@ -336,25 +322,20 @@ Result benchHeartbeatStorm(int repeats) {
         if (!res.ok()) std::fprintf(stderr, "%s\n", res.report().c_str());
       },
       repeats);
-  const Sample& m = bestOf(samples);
-  r.eventsPerSec = kEventsPerRun / m.secs;
-  r.allocsPerEvent = static_cast<double>(m.allocs) / kEventsPerRun;
-  r.wallMs = m.secs * 1e3;
-  r.normRate = normRate(samples, kEventsPerRun);
-  r.normBest = peakNorm(samples, kEventsPerRun);
-  return r;
+  return rateResult("heartbeat_storm",
+                    "one DetMerge00 seed, 900 sim-seconds of heartbeats",
+                    samples, kEventsPerRun);
 }
 
 // 6. Open-loop workload storm (PR 3): A1 on a 3x3 WAN under Poisson
 // arrivals far denser than the delivery latency — the reactive generator
 // keeps exactly one pending arrival while hundreds of multicasts overlap.
 // Measures end-to-end simulator events/sec (scheduler + network + protocol
-// + workload generation) under sustained overload. With `metrics` on, the
-// streaming recorder (PR 4) observes every cast/delivery/send — the pair
-// of runs is the recorder-overhead measurement.
-uint64_t runOpenLoopStorm(int casts, bool metrics,
-                          wanmc::SimTime batchWindow = 0, int batchMax = 0,
-                          bool channels = false, bool bootstrap = false) {
+// + workload generation + the streaming metrics recorder) under sustained
+// overload.
+uint64_t runOpenLoopStorm(int casts, wanmc::SimTime batchWindow = 0,
+                          int batchMax = 0, bool channels = false,
+                          bool bootstrap = false) {
   wanmc::core::RunConfig cfg;
   cfg.groups = 3;
   cfg.procsPerGroup = 3;
@@ -362,7 +343,6 @@ uint64_t runOpenLoopStorm(int casts, bool metrics,
   cfg.latency = wanmc::sim::LatencyModel{
       wanmc::kMs, 2 * wanmc::kMs, 95 * wanmc::kMs, 110 * wanmc::kMs};
   cfg.seed = 1;
-  cfg.metrics = metrics;
   cfg.stack.batchWindow = batchWindow;
   cfg.stack.batchMaxSize = batchMax;
   cfg.stack.reliableChannels = channels;
@@ -376,60 +356,29 @@ uint64_t runOpenLoopStorm(int casts, bool metrics,
   return ex.runtime().run(600 * wanmc::kSec);
 }
 
-// The off/on repeats are INTERLEAVED (off, on, off, on, ...) so that a
-// noisy wall-clock window on a shared machine degrades both sides of the
-// recorder-overhead ratio instead of skewing it — back-to-back blocks were
-// observed ±25% apart on the quick budget, far wider than the 5% gate.
-// See benchMetricsOverheadPair: `median` is the reported recorder-overhead
-// figure, `floor` the noise-robust lower estimate the --check gate uses.
+Result benchOpenLoopStorm(int casts, int repeats) {
+  uint64_t fired = 0;
+  const auto samples =
+      measure([&] { fired = runOpenLoopStorm(casts); }, repeats);
+  return rateResult("open_loop_storm",
+                    "A1 3x3 WAN, Poisson arrivals mean 3ms, " +
+                        std::to_string(casts) + " casts",
+                    samples, static_cast<double>(fired));
+}
+
+// Off/on overhead figure from INTERLEAVED repeats (off, on, off, on, ...):
+// a noisy wall-clock window on a shared machine then degrades both sides
+// of a pair instead of skewing the ratio — back-to-back blocks were
+// observed ±25% apart on the quick budget, far wider than the 5-10%
+// gates. `median` is the reported figure (the median pair discards pairs
+// where load shifted mid-pair); `floor`, the cleanest pair, is what the
+// --check gate uses: a real regression is systematic and shows in EVERY
+// pair, while interference is one-sided, so the floor cannot flake the
+// gate yet still catches a plane that is genuinely too slow.
 struct OverheadPair {
   double median = 0;
   double floor = 0;
 };
-
-std::vector<Result> benchMetricsOverheadPair(int casts, int repeats,
-                                             OverheadPair* overheadOut) {
-  std::vector<Sample> off, on;
-  uint64_t fired = 0;
-  for (int r = 0; r < repeats; ++r) {
-    for (bool metrics : {false, true}) {
-      auto s = measure([&] { fired = runOpenLoopStorm(casts, metrics); }, 1);
-      (metrics ? on : off).push_back(s.front());
-    }
-  }
-  // Two estimates off the per-pair wall-time ratios. The REPORTED figure
-  // is the median pair (each adjacent off/on pair shares its noise
-  // window; the median discards pairs where load shifted mid-pair). The
-  // GATED figure is the cleanest pair (largest off/on ratio): a real
-  // recorder regression is systematic — it shows in EVERY pair — while
-  // interference is one-sided, so the floor estimate cannot flake the CI
-  // gate yet still catches a recorder that is genuinely too slow.
-  std::vector<double> ratios;
-  for (size_t i = 0; i < off.size() && i < on.size(); ++i)
-    if (on[i].secs > 0) ratios.push_back(off[i].secs / on[i].secs);
-  if (!ratios.empty()) {
-    std::sort(ratios.begin(), ratios.end());
-    overheadOut->median = 1.0 - ratios[ratios.size() / 2];
-    overheadOut->floor = 1.0 - ratios.back();
-  }
-  auto finish = [&](const std::vector<Sample>& samples, const char* name,
-                    const char* tag) {
-    Result r;
-    r.name = name;
-    r.note = "A1 3x3 WAN, Poisson arrivals mean 3ms, " +
-             std::to_string(casts) + " casts, metrics " + tag;
-    const Sample& m = bestOf(samples);
-    r.eventsPerSec = static_cast<double>(fired) / m.secs;
-    r.allocsPerEvent =
-        static_cast<double>(m.allocs) / static_cast<double>(fired);
-    r.wallMs = m.secs * 1e3;
-    r.normRate = normRate(samples, static_cast<double>(fired));
-    r.normBest = peakNorm(samples, static_cast<double>(fired));
-    return r;
-  };
-  return {finish(off, "open_loop_storm", "off"),
-          finish(on, "open_loop_storm_metrics", "on")};
-}
 
 // 6b. Channel-overhead pair (PR 7): the identical open-loop storm with the
 // reliable channel substrate armed (zero loss). Arming channels roughly
@@ -437,10 +386,9 @@ std::vector<Result> benchMetricsOverheadPair(int casts, int repeats,
 // cumulative ACK, plus retransmit-timer arm/cancel events — so comparing
 // wall-clock for the same cast budget would gate the intentional extra
 // traffic, not the substrate. The figure here is therefore the per-event
-// throughput ratio: events/sec with channels on vs off, interleaved
-// off/on pairs exactly like the metrics pair above (median reported,
-// cleanest-pair floor gated — the channel plane may cost at most 10% of
-// sim-core events/sec).
+// throughput ratio: events/sec with channels on vs off, on interleaved
+// off/on pairs (see OverheadPair; the channel plane may cost at most 10%
+// of sim-core events/sec).
 Result benchChannelOverheadPair(int casts, int repeats,
                                 OverheadPair* overheadOut) {
   std::vector<Sample> on;
@@ -452,9 +400,8 @@ Result benchChannelOverheadPair(int casts, int repeats,
       uint64_t fired = 0;
       auto s = measure(
           [&] {
-            fired = runOpenLoopStorm(casts, /*metrics=*/false,
-                                     /*batchWindow=*/0, /*batchMax=*/0,
-                                     channels);
+            fired = runOpenLoopStorm(casts, /*batchWindow=*/0,
+                                     /*batchMax=*/0, channels);
           },
           1);
       if (s.front().secs > 0)
@@ -472,19 +419,11 @@ Result benchChannelOverheadPair(int casts, int repeats,
     overheadOut->median = 1.0 - ratios[ratios.size() / 2];
     overheadOut->floor = 1.0 - ratios.back();
   }
-  Result r;
-  r.name = "open_loop_storm_channels";
-  r.note = "A1 3x3 WAN, Poisson arrivals mean 3ms, " +
-           std::to_string(casts) +
-           " casts, reliable channels armed, zero loss";
-  const Sample& m = bestOf(on);
-  r.eventsPerSec = static_cast<double>(firedOn) / m.secs;
-  r.allocsPerEvent =
-      static_cast<double>(m.allocs) / static_cast<double>(firedOn);
-  r.wallMs = m.secs * 1e3;
-  r.normRate = normRate(on, static_cast<double>(firedOn));
-  r.normBest = peakNorm(on, static_cast<double>(firedOn));
-  return r;
+  return rateResult("open_loop_storm_channels",
+                    "A1 3x3 WAN, Poisson arrivals mean 3ms, " +
+                        std::to_string(casts) +
+                        " casts, reliable channels armed, zero loss",
+                    on, static_cast<double>(firedOn));
 }
 
 // 6c. Bootstrap-overhead pair (PR 9): the identical open-loop storm with
@@ -492,8 +431,8 @@ Result benchChannelOverheadPair(int casts, int repeats,
 // handshake runs). Arming builds the per-process plane and threads the
 // snapshot hooks through every stack — the pair bounds what fault-free
 // runs pay for keeping every process rejoin-capable. Interleaved off/on
-// pairs like the metrics pair (median reported, cleanest-pair floor
-// gated at 5%: an idle plane must stay off the hot path).
+// pairs (see OverheadPair), gated at 5%: an idle plane must stay off the
+// hot path.
 Result benchBootstrapOverheadPair(int casts, int repeats,
                                   OverheadPair* overheadOut) {
   std::vector<Sample> on;
@@ -505,9 +444,9 @@ Result benchBootstrapOverheadPair(int casts, int repeats,
       uint64_t fired = 0;
       auto s = measure(
           [&] {
-            fired = runOpenLoopStorm(casts, /*metrics=*/false,
-                                     /*batchWindow=*/0, /*batchMax=*/0,
-                                     /*channels=*/false, bootstrap);
+            fired = runOpenLoopStorm(casts, /*batchWindow=*/0,
+                                     /*batchMax=*/0, /*channels=*/false,
+                                     bootstrap);
           },
           1);
       if (s.front().secs > 0)
@@ -525,19 +464,11 @@ Result benchBootstrapOverheadPair(int casts, int repeats,
     overheadOut->median = 1.0 - ratios[ratios.size() / 2];
     overheadOut->floor = 1.0 - ratios.back();
   }
-  Result r;
-  r.name = "open_loop_storm_bootstrap";
-  r.note = "A1 3x3 WAN, Poisson arrivals mean 3ms, " +
-           std::to_string(casts) +
-           " casts, bootstrap plane armed, no recoveries";
-  const Sample& m = bestOf(on);
-  r.eventsPerSec = static_cast<double>(firedOn) / m.secs;
-  r.allocsPerEvent =
-      static_cast<double>(m.allocs) / static_cast<double>(firedOn);
-  r.wallMs = m.secs * 1e3;
-  r.normRate = normRate(on, static_cast<double>(firedOn));
-  r.normBest = peakNorm(on, static_cast<double>(firedOn));
-  return r;
+  return rateResult("open_loop_storm_bootstrap",
+                    "A1 3x3 WAN, Poisson arrivals mean 3ms, " +
+                        std::to_string(casts) +
+                        " casts, bootstrap plane armed, no recoveries",
+                    on, static_cast<double>(firedOn));
 }
 
 // 7. Batch ladder (PR 6): the identical open-loop storm under the batching
@@ -555,24 +486,17 @@ std::vector<Result> benchBatchLadder(int casts, int repeats,
     uint64_t fired = 0;
     const auto samples = measure(
         [&] {
-          fired = runOpenLoopStorm(casts, /*metrics=*/false,
-                                   size == 0 ? 0 : kWindow, size);
+          fired = runOpenLoopStorm(casts, size == 0 ? 0 : kWindow, size);
         },
         repeats);
-    const Sample& m = bestOf(samples);
-    Result r;
-    r.name = "open_loop_storm_batch" + std::to_string(size);
-    r.note = "A1 3x3 WAN, Poisson mean 3ms, " + std::to_string(casts) +
-             (size == 0 ? " casts, batching off"
-                        : " casts, batch window 2s, max " +
-                              std::to_string(size));
-    r.eventsPerSec = static_cast<double>(fired) / m.secs;
-    r.allocsPerEvent =
-        static_cast<double>(m.allocs) / static_cast<double>(fired);
-    r.wallMs = m.secs * 1e3;
-    r.normRate = normRate(samples, static_cast<double>(fired));
-    r.normBest = peakNorm(samples, static_cast<double>(fired));
-    r.goodputPerSec = static_cast<double>(casts) / m.secs;
+    Result r = rateResult(
+        "open_loop_storm_batch" + std::to_string(size),
+        "A1 3x3 WAN, Poisson mean 3ms, " + std::to_string(casts) +
+            (size == 0 ? " casts, batching off"
+                       : " casts, batch window 2s, max " +
+                             std::to_string(size)),
+        samples, static_cast<double>(fired));
+    r.goodputPerSec = static_cast<double>(casts) / bestOf(samples).secs;
     if (size == 0) unbatched = r.goodputPerSec;
     if (size == 64 && unbatched > 0)
       *x64RatioOut = r.goodputPerSec / unbatched;
@@ -622,15 +546,14 @@ std::vector<Result> benchDetMergeSweep(int seeds, int jobs, int repeats) {
 
 void writeJson(const std::string& path, const std::vector<Result>& results,
                bool quick, int jobs, unsigned hardwareConcurrency,
-               double metricsOverhead, double batchGoodputX64,
-               double channelOverhead, double bootstrapOverhead) {
+               double batchGoodputX64, double channelOverhead,
+               double bootstrapOverhead) {
   std::ostringstream os;
   os << "{\n";
   os << "  \"schema\": \"wanmc-bench-v1\",\n";
   os << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
   os << "  \"jobs\": " << jobs << ",\n";
   os << "  \"hardware_concurrency\": " << hardwareConcurrency << ",\n";
-  os << "  \"metrics_overhead\": " << metricsOverhead << ",\n";
   os << "  \"batch_goodput_x64\": " << batchGoodputX64 << ",\n";
   os << "  \"channel_overhead\": " << channelOverhead << ",\n";
   os << "  \"bootstrap_overhead\": " << bootstrapOverhead << ",\n";
@@ -779,15 +702,11 @@ int main(int argc, char** argv) {
   results.push_back(benchSchedulerScatter(chainEvents, repeats));
   results.push_back(benchMulticastStorm(stormRounds, repeats));
   results.push_back(benchHeartbeatStorm(quick ? 3 : 5));
-  // The overhead pair always gets >= 5 interleaved repeats: its ratio
-  // feeds a 5% gate, much tighter than the 20% rate gate, so it needs
-  // more chances at a clean window even on the quick budget.
-  OverheadPair metricsOverhead;
-  for (auto& r : benchMetricsOverheadPair(quick ? 400 : 2000,
-                                          std::max(repeats, 5),
-                                          &metricsOverhead))
-    results.push_back(std::move(r));
-  // Same interleaving discipline for the channel substrate (10% gate).
+  results.push_back(benchOpenLoopStorm(quick ? 400 : 2000, repeats));
+  // The overhead pairs always get >= 5 interleaved repeats: their ratios
+  // feed 5-10% gates, much tighter than the 20% rate gate, so they need
+  // more chances at a clean window even on the quick budget. Channel
+  // substrate first (10% gate).
   OverheadPair channelOverhead;
   results.push_back(benchChannelOverheadPair(
       quick ? 400 : 2000, std::max(repeats, 5), &channelOverhead));
@@ -802,22 +721,12 @@ int main(int argc, char** argv) {
   for (auto& r : benchDetMergeSweep(sweepSeeds, jobs, quick ? 1 : 3))
     results.push_back(std::move(r));
 
-  // Recorder-overhead figure: the metrics-on storm vs the metrics-off
-  // storm, on calibration-normalized rates. Reported always; enforced as
-  // part of the --check gate (CI budget: the streaming measurement plane
-  // may cost at most 5% of sim-core events/sec).
-  constexpr double kMaxMetricsOverhead = 0.05;
-  std::fprintf(stderr,
-               "metrics_overhead: %.2f%% of events/sec median, %.2f%% "
-               "cleanest pair (gate %g%% on the latter)\n",
-               metricsOverhead.median * 100, metricsOverhead.floor * 100,
-               kMaxMetricsOverhead * 100);
   std::fprintf(stderr, "batch_goodput_x64: %.1fx unbatched goodput\n",
                batchGoodputX64);
   // Channel-overhead figure (PR 7): per-event throughput with the reliable
   // channel substrate armed vs off, on interleaved pairs. Gated at 10% —
-  // looser than the recorder's 5% because the channel plane does real
-  // per-event work (holdback, ACK bookkeeping) on the hot path.
+  // looser than the bootstrap plane's 5% because the channel plane does
+  // real per-event work (holdback, ACK bookkeeping) on the hot path.
   constexpr double kMaxChannelOverhead = 0.10;
   std::fprintf(stderr,
                "channel_overhead: %.2f%% of events/sec median, %.2f%% "
@@ -825,8 +734,8 @@ int main(int argc, char** argv) {
                channelOverhead.median * 100, channelOverhead.floor * 100,
                kMaxChannelOverhead * 100);
   // Bootstrap-overhead figure (PR 9): per-event throughput with the
-  // bootstrap plane armed-but-idle vs off. Gated at the recorder's 5%:
-  // with no recovery in the run, the plane must stay off the hot path.
+  // bootstrap plane armed-but-idle vs off. Gated at 5%: with no recovery
+  // in the run, the plane must stay off the hot path.
   constexpr double kMaxBootstrapOverhead = 0.05;
   std::fprintf(stderr,
                "bootstrap_overhead: %.2f%% of events/sec median, %.2f%% "
@@ -835,17 +744,10 @@ int main(int argc, char** argv) {
                kMaxBootstrapOverhead * 100);
 
   writeJson(out, results, quick, jobs, std::thread::hardware_concurrency(),
-            metricsOverhead.median, batchGoodputX64, channelOverhead.median,
+            batchGoodputX64, channelOverhead.median,
             bootstrapOverhead.median);
   if (!baseline.empty()) {
     int rc = checkAgainstBaseline(baselineText, results);
-    if (metricsOverhead.floor > kMaxMetricsOverhead) {
-      std::fprintf(stderr,
-                   "check metrics_overhead : cleanest-pair overhead %.2f%% "
-                   "exceeds the %g%% budget REGRESSED\n",
-                   metricsOverhead.floor * 100, kMaxMetricsOverhead * 100);
-      rc = 1;
-    }
     if (channelOverhead.floor > kMaxChannelOverhead) {
       std::fprintf(stderr,
                    "check channel_overhead : cleanest-pair overhead %.2f%% "

@@ -5,8 +5,7 @@
 #   scripts/bench.sh --quick             reduced budget (CI smoke)
 #   scripts/bench.sh --check FILE        also gate events/sec against FILE
 #                                        (exit 1 on >20% regression, on
-#                                        metrics-recorder or idle-bootstrap
-#                                        overhead >5%, or on
+#                                        idle-bootstrap overhead >5%, or on
 #                                        channel-substrate overhead >10%)
 #   OUT=path scripts/bench.sh            write the report elsewhere
 #

@@ -57,7 +57,7 @@ class SequencerNode final : public core::XcastNode {
 
   void xcast(const AppMsgPtr& m) override;
 
-  // Optimistic deliveries (on data receipt) for the optimism benches: the
+  // Optimistic deliveries (on data receipt) for the optimism tests: the
   // tentative order that [12]/[13] expose to the application early.
   [[nodiscard]] const std::vector<MsgId>& optimisticOrder() const {
     return optimistic_;

@@ -15,9 +15,9 @@
 //   * a group whose proposal equals the final timestamp skips s2 (its clock
 //     is already past the final timestamp after line 31).
 // Both optimizations are config flags here so that the [5] baseline is the
-// same code with the flags off — which makes the ablation bench an
-// apples-to-apples comparison of consensus instances and intra-group
-// traffic, the exact savings §4.1/§6 claim.
+// same code with the flags off — which makes the stage-skipping test in
+// tests/test_a1.cpp an apples-to-apples comparison of consensus instances
+// and intra-group traffic, the exact savings §4.1/§6 claim.
 //
 // Latency degree: 2 for messages multicast to >= 2 groups (Theorem 4.1,
 // optimal by Prop. 3.1/3.2); 0/1 for single-group messages depending on

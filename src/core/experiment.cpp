@@ -134,7 +134,7 @@ Experiment::Experiment(RunConfig cfg) : cfg_(cfg) {
     // every event; the recorder is passive, so run behavior is unchanged.
     // (Threaded runs have no observer registry: RunResult::metrics is
     // reconstructed from the merged wall-clock trace at harvest.)
-    if (cfg_.metrics) recorder_ = std::make_unique<metrics::Recorder>(*rt_);
+    recorder_ = std::make_unique<metrics::Recorder>(*rt_);
   } else {
     threaded_ = std::make_unique<exec::ThreadedRuntime>(topo, cfg_.latency,
                                                         cfg_.seed);
@@ -436,7 +436,8 @@ RunResult Experiment::harvest() const {
   r.traffic = ctx.traffic();
   r.lastAlgoSend = ctx.lastAlgorithmicSend();
   r.endTime = ctx.now();
-  r.metrics = recorder_
+  // One Summary construction per backend (see the constructor).
+  r.metrics = cfg_.backend == exec::Backend::kSim
                   ? recorder_->summary(ctx.now())
                   : metrics::summarizeTrace(ctx.trace(), ctx.topology(),
                                             ctx.traffic(),

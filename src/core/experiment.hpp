@@ -85,13 +85,6 @@ struct RunConfig {
   // liveness under loss requires stack.reliableChannels.
   double lossRate = 0;
   bool recordWire = false;
-  // Streaming measurement plane (src/metrics/): when on (the default), a
-  // metrics::Recorder observes the run and RunResult::metrics is built
-  // online, with no trace rescan. Observation never perturbs the run (the
-  // golden fingerprints pin this); turn it off only to shave the last few
-  // percent off raw simulator throughput — RunResult::metrics is then
-  // reconstructed from the trace at harvest time instead.
-  bool metrics = true;
   // Installed at construction; generation starts once run() begins. More
   // workloads can be layered on with Experiment::addWorkload.
   std::optional<workload::Spec> workload{};
@@ -115,8 +108,8 @@ struct RunResult {
   std::set<ProcessId> recovered;
   verify::GenuinenessInput genuineness;
   // Streaming measurement summary (latency percentiles, degree tallies,
-  // goodput — see metrics/summary.hpp). Built online by the recorder when
-  // RunConfig::metrics is on, else reconstructed from the trace.
+  // goodput — see metrics/summary.hpp). Built online by the recorder on the
+  // sim backend; reconstructed from the merged trace on the threaded one.
   metrics::Summary metrics;
   // Completed bootstrap rejoins (armed runs only), one per install, in
   // install order. firstDeliveryAfter is the recovered pid's first
@@ -251,7 +244,7 @@ class Experiment {
   RunConfig cfg_;
   // Declared before rt_ so the recorder (a registered observer) outlives
   // the runtime; constructed right after rt_ in the ctor body.
-  std::unique_ptr<metrics::Recorder> recorder_;  // nullptr: metrics off
+  std::unique_ptr<metrics::Recorder> recorder_;  // kSim only
   // Exactly one backend is constructed, per cfg_.backend; ctx_ aims at it.
   std::unique_ptr<sim::Runtime> rt_;                // kSim, else nullptr
   std::unique_ptr<exec::ThreadedRuntime> threaded_;  // kThreaded, else null

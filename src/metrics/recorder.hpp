@@ -10,9 +10,8 @@
 //
 // Hot-path discipline: onDeliver/onSend are allocation-free at steady
 // state (the per-message table grows geometrically, like a vector), never
-// draw from the runtime RNG, and never schedule events — a recorded run is
-// byte-identical to an unrecorded one (pinned by the golden fingerprints
-// and gated at <5% events/sec overhead by bench_sim_core).
+// draw from the runtime RNG, and never schedule events — observation never
+// perturbs the run (pinned by the golden fingerprints).
 #pragma once
 
 #include <cstdint>

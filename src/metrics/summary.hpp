@@ -3,10 +3,10 @@
 // A Summary is a value type: everything the export layer, the sweep driver,
 // and the regression tests need from a finished run, with no pointer back
 // into the trace. It is built online by metrics::Recorder (one observer
-// hooked into the runtime, src/metrics/recorder.hpp) or offline by
-// summarizeTrace() (the O(trace) fallback used when metrics are disabled,
-// and the cross-check oracle in tests: both constructions are field-for-
-// field identical on the same run).
+// hooked into the sim runtime, src/metrics/recorder.hpp) or offline by
+// summarizeTrace() (the construction for threaded runs, which have no
+// observer registry, and the cross-check oracle in tests: both
+// constructions are field-for-field identical on the same run).
 //
 // Percentile semantics: every histogram bins LATENCIES (microseconds of
 // simulated wall-clock between A-XCast(m) and an A-Deliver(m)) into the
@@ -121,8 +121,8 @@ struct Summary {
 };
 
 // O(trace) construction of the same Summary the streaming Recorder builds:
-// the fallback when RunConfig::metrics is off, and the equivalence oracle
-// in tests. `lastAlgoSend` and `traffic` come from the runtime (they are
+// the threaded backend's construction, and the equivalence oracle in
+// tests. `lastAlgoSend` and `traffic` come from the runtime (they are
 // not reconstructible from an unrecorded wire).
 [[nodiscard]] Summary summarizeTrace(const RunTrace& trace,
                                      const Topology& topo,

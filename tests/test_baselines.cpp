@@ -95,17 +95,21 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 TEST(Fritzke98, LatencyDegreeTwo) {
-  // Sender outside both destination groups: the two groups then run their
+  // Sender outside the k destination groups: the groups then run their
   // first consensus symmetrically and exchange timestamps in one round
   // trip — the Delta = 2 run. (With the sender inside a destination group,
   // its group's earlier consensus races the remote TS arrival; the uniform
   // reliable multicast's extra intra hop makes that race a dead heat under
-  // fixed latencies.)
-  Experiment ex(fixedCfg(ProtocolKind::kFritzke98, 3, 2));
-  auto id = ex.castAt(kMs, 4, GroupSet::of({0, 1}), "x");
-  auto r = ex.run();
-  EXPECT_TRUE(r.checkAtomicSuite().empty());
-  EXPECT_EQ(*r.trace.latencyDegree(id), 2);
+  // fixed latencies.) Figure 1a: flat in k.
+  for (int k = 2; k <= 5; ++k) {
+    Experiment ex(fixedCfg(ProtocolKind::kFritzke98, k + 1, 2));
+    GroupSet dest;
+    for (GroupId g = 0; g < k; ++g) dest.add(g);
+    auto id = ex.castAt(kMs, static_cast<ProcessId>(k * 2), dest, "x");
+    auto r = ex.run();
+    EXPECT_TRUE(r.checkAtomicSuite().empty()) << "k=" << k;
+    EXPECT_EQ(*r.trace.latencyDegree(id), 2) << "k=" << k;
+  }
 }
 
 TEST(Delporte00, LatencyDegreeGrowsWithK) {
@@ -132,11 +136,16 @@ TEST(Delporte00, GenuineOnlyAddresseesParticipate) {
 }
 
 TEST(Rodrigues98, LatencyDegreeFour) {
-  Experiment ex(fixedCfg(ProtocolKind::kRodrigues98, 2, 2));
-  auto id = ex.castAt(kMs, 0, GroupSet::of({0, 1}), "x");
-  auto r = ex.run();
-  EXPECT_TRUE(r.checkAtomicSuite().empty());
-  EXPECT_EQ(*r.trace.latencyDegree(id), 4);
+  // Figure 1a: flat in the number k of destination groups.
+  for (int k = 2; k <= 5; ++k) {
+    Experiment ex(fixedCfg(ProtocolKind::kRodrigues98, k, 2));
+    GroupSet dest;
+    for (GroupId g = 0; g < k; ++g) dest.add(g);
+    auto id = ex.castAt(kMs, 0, dest, "x");
+    auto r = ex.run();
+    EXPECT_TRUE(r.checkAtomicSuite().empty()) << "k=" << k;
+    EXPECT_EQ(*r.trace.latencyDegree(id), 4) << "k=" << k;
+  }
 }
 
 TEST(Rodrigues98, GenuineOnlyAddresseesParticipate) {
@@ -145,6 +154,29 @@ TEST(Rodrigues98, GenuineOnlyAddresseesParticipate) {
   auto r = ex.run();
   auto v = verify::checkGenuineness(r.checkContext(), r.genuineness);
   EXPECT_TRUE(v.empty()) << v[0];
+}
+
+// Figure 1a's inter-group column at k = 3 groups of d = 2, one message to
+// all three with the sender in the LAST destination group (the ring then
+// pays its start hop). The O(k d^2) ring sits below the O(k^2 d^2) rows;
+// Rodrigues98's cross-group consensus is the costliest. (A1's 28 is
+// A1.InterGroupMessageCountMatchesFigure1a.)
+TEST(Figure1a, InterGroupMessagesAtK3D2) {
+  struct Row {
+    ProtocolKind kind;
+    uint64_t inter;
+  };
+  for (const Row row : {Row{ProtocolKind::kDelporte00, 18},
+                        Row{ProtocolKind::kRodrigues98, 80},
+                        Row{ProtocolKind::kFritzke98, 28},
+                        Row{ProtocolKind::kSkeen87, 28}}) {
+    Experiment ex(fixedCfg(row.kind, 3, 2));
+    ex.castAt(kMs, 4, GroupSet::of({0, 1, 2}), "x");
+    auto r = ex.run(600 * kSec);
+    EXPECT_TRUE(r.checkAtomicSuite().empty()) << protocolName(row.kind);
+    EXPECT_EQ(r.traffic.interAlgorithmic(), row.inter)
+        << protocolName(row.kind);
+  }
 }
 
 TEST(ViaBcast, LatencyDegreeOneWhenWarmButNotGenuine) {
@@ -171,6 +203,20 @@ TEST(Sousa02, FinalDeliveryDegreeTwo) {
   auto r = ex.run(600 * kSec);
   EXPECT_TRUE(r.checkAtomicSuite().empty()) << r.checkAtomicSuite()[0];
   EXPECT_EQ(*r.trace.latencyDegree(id), 2);
+}
+
+TEST(Sousa02, InterGroupMessagesLinearInN) {
+  // Figure 1b's O(n) column: one broadcast costs exactly n inter-group
+  // messages at m = 2 groups of d (n = 2d), far below Vicente02's O(n^2).
+  for (int d = 1; d <= 4; ++d) {
+    const int n = 2 * d;
+    Experiment ex(fixedCfg(ProtocolKind::kSousa02, 2, d));
+    ex.castAllAt(kMs, static_cast<ProcessId>(n - 1), "x");
+    auto r = ex.run(600 * kSec);
+    EXPECT_TRUE(r.checkAtomicSuite().empty()) << "n=" << n;
+    EXPECT_EQ(r.traffic.interAlgorithmic(), static_cast<uint64_t>(n))
+        << "n=" << n;
+  }
 }
 
 TEST(Sousa02, TotalOrderUnderConcurrentSenders) {

@@ -2,6 +2,7 @@
 // (EarlyConsensus and CtConsensus), including crash and suspicion cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 
@@ -15,15 +16,19 @@ namespace {
 using consensus::ConsensusKind;
 using consensus::Instance;
 
-// A bare test node hosting one consensus service over its whole group.
+// A bare test node hosting one consensus service over its whole group, or
+// over every process of the topology when `acrossGroups` is set.
 class ConsensusHost final : public core::StackNode {
  public:
-  ConsensusHost(sim::Runtime& rt, ProcessId pid, const core::StackConfig& cfg)
+  ConsensusHost(sim::Runtime& rt, ProcessId pid, const core::StackConfig& cfg,
+                bool acrossGroups = false)
       : core::StackNode(rt, pid, cfg) {
-    svc = &addGroupConsensus();
+    svc = acrossGroups ? &addConsensus(0, rt.topology().allProcesses())
+                       : &addGroupConsensus();
     svc->onDecide([this](Instance k, const ConsensusValue& v) {
       decisions[k] = v;
       decisionOrder.push_back(k);
+      decidedAtLamport = runtime().lamport(this->pid());
     });
   }
   void onProtocolMessage(ProcessId, const PayloadPtr&) override {}
@@ -31,6 +36,7 @@ class ConsensusHost final : public core::StackNode {
   consensus::ConsensusService* svc = nullptr;
   std::map<Instance, ConsensusValue> decisions;
   std::vector<Instance> decisionOrder;
+  uint64_t decidedAtLamport = 0;  // modified Lamport clock at the decision
 };
 
 struct Fixture {
@@ -227,6 +233,44 @@ TEST(EarlyConsensus, DecidesInTwoIntraDelaysFailureFree) {
   for (int p = 0; p < 3; ++p) f.hosts[p]->svc->propose(1, num(1));
   f.rt.run(5 * kMs);
   for (int p = 0; p < 3; ++p) EXPECT_TRUE(f.hosts[p]->decisions.count(1));
+}
+
+// Paper §6 (Figure 1 footnote): one early-consensus instance run ACROSS k
+// groups of d processes decides at latency degree 2, and its inter-group
+// message count stays within [11]'s 2kd(kd-1). The counts are exact
+// (failure-free, jitter-free) and include the decide relay.
+TEST(EarlyConsensus, AcrossGroupsDegreeTwoAndMessageBound) {
+  struct Case {
+    int k, d;
+    uint64_t inter;
+  };
+  for (const Case c : {Case{2, 2, 18}, Case{3, 2, 52}, Case{2, 3, 39},
+                       Case{3, 3, 114}}) {
+    sim::Runtime rt(Topology(c.k, c.d),
+                    sim::LatencyModel::fixed(kMs / 10, 100 * kMs), 1);
+    core::StackConfig cfg;
+    cfg.consensusKind = ConsensusKind::kEarly;
+    std::vector<ConsensusHost*> hosts;
+    for (ProcessId p = 0; p < c.k * c.d; ++p) {
+      auto n = std::make_unique<ConsensusHost>(rt, p, cfg,
+                                               /*acrossGroups=*/true);
+      hosts.push_back(n.get());
+      rt.attach(p, std::move(n));
+    }
+    rt.start();
+    for (auto* h : hosts) h->svc->propose(1, num(42));
+    rt.run();
+    uint64_t degree = 0;  // proposals start at clock 0
+    for (auto* h : hosts) {
+      ASSERT_TRUE(h->decisions.count(1)) << "k=" << c.k << " d=" << c.d;
+      degree = std::max(degree, h->decidedAtLamport);
+    }
+    const uint64_t n = static_cast<uint64_t>(c.k * c.d);
+    const uint64_t inter = rt.traffic().at(Layer::kConsensus).inter;
+    EXPECT_EQ(degree, 2u) << "k=" << c.k << " d=" << c.d;
+    EXPECT_EQ(inter, c.inter) << "k=" << c.k << " d=" << c.d;
+    EXPECT_LE(inter, 2 * n * (n - 1)) << "k=" << c.k << " d=" << c.d;
+  }
 }
 
 TEST(Consensus, NoInterGroupTrafficForGroupScopedInstances) {

@@ -103,14 +103,47 @@ TEST(LowerBound, NoGenuineMulticastBeatsDegreeTwo) {
   }
 }
 
-// A1 attains the bound: degree exactly 2, so the bound is tight (Thm 4.1).
+// A1 attains the bound: degree exactly 2, so the bound is tight (Thm 4.1),
+// for any number k of destination groups (Figure 1a: flat in k).
 TEST(LowerBound, A1AttainsDegreeTwo) {
-  auto c = cfg(ProtocolKind::kA1, 2, 2, 2);
-  c.latency = sim::LatencyModel::fixed(kMs / 10, 100 * kMs);  // best case
-  Experiment ex(c);
-  auto id = ex.castAt(kMs, 0, GroupSet::of({0, 1}), "x");
-  auto r = ex.run();
-  EXPECT_EQ(*r.trace.latencyDegree(id), 2);
+  for (int k = 2; k <= 5; ++k) {
+    auto c = cfg(ProtocolKind::kA1, k, 2, 2);
+    c.latency = sim::LatencyModel::fixed(kMs / 10, 100 * kMs);  // best case
+    Experiment ex(c);
+    GroupSet dest;
+    for (GroupId g = 0; g < k; ++g) dest.add(g);
+    auto id = ex.castAt(kMs, 0, dest, "x");
+    auto r = ex.run();
+    EXPECT_EQ(*r.trace.latencyDegree(id), 2) << "k=" << k;
+  }
+}
+
+// Quiescence lower bound (Prop. 3.1/3.3): a broadcast cast into a quiescent
+// system is never delivered below latency degree 2 — for A2 (which attains
+// it, Thm 5.2) and for the quiescent sequencer baselines alike.
+TEST(LowerBound, NoQuiescentBroadcastBeatsDegreeTwoAfterQuiescence) {
+  for (ProtocolKind kind : {ProtocolKind::kA2, ProtocolKind::kSousa02,
+                            ProtocolKind::kVicente02}) {
+    for (int groups : {2, 3}) {
+      for (uint64_t seed = 1; seed <= 4; ++seed) {
+        auto c = cfg(kind, groups, 2, seed);
+        if (seed % 2 == 0)
+          c.latency = sim::LatencyModel::fixed(kMs / 10, 100 * kMs);
+        Experiment ex(c);
+        // Cast long after t = 0 into a system that never ran a round:
+        // every process is reactive (Def. 3.1).
+        const auto sender = static_cast<ProcessId>(seed % (groups * 2));
+        auto id = ex.castAllAt(2 * kSec + static_cast<SimTime>(seed) * kMs,
+                               sender, "rb");
+        auto r = ex.run(900 * kSec);
+        EXPECT_TRUE(r.checkAtomicSuite().empty()) << protocolName(kind);
+        auto deg = r.trace.latencyDegree(id);
+        ASSERT_TRUE(deg.has_value()) << protocolName(kind);
+        EXPECT_GE(*deg, 2) << protocolName(kind) << " groups " << groups
+                           << " seed " << seed;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -80,14 +80,12 @@ TEST(LogHistogram, PercentileIsMonotoneInQ) {
 // Recorder vs trace-based Summary: identical constructions.
 // ---------------------------------------------------------------------------
 
-core::RunResult runOne(ProtocolKind kind, bool metricsOn, uint64_t seed,
-                       bool crash) {
+core::RunResult runOne(ProtocolKind kind, uint64_t seed, bool crash) {
   RunConfig c;
   c.groups = 3;
   c.procsPerGroup = 3;
   c.protocol = kind;
   c.seed = seed;
-  c.metrics = metricsOn;
   c.latency = sim::LatencyModel{kMs, 2 * kMs, 95 * kMs, 110 * kMs};
   c.workload = workload::Spec::closedLoop(12, 60 * kMs);
   Experiment ex(c);
@@ -100,7 +98,7 @@ TEST(MetricsEquivalence, StreamingMatchesTraceRescan) {
        {ProtocolKind::kA1, ProtocolKind::kA2, ProtocolKind::kRodrigues98}) {
     for (bool crash : {false, true}) {
       if (crash && kind == ProtocolKind::kA2) continue;  // keep it quick
-      auto r = runOne(kind, /*metricsOn=*/true, 5, crash);
+      auto r = runOne(kind, 5, crash);
       const Summary rebuilt = metrics::summarizeTrace(
           r.trace, r.topo, r.traffic, r.lastAlgoSend, r.endTime);
       EXPECT_EQ(r.metrics, rebuilt)
@@ -109,16 +107,8 @@ TEST(MetricsEquivalence, StreamingMatchesTraceRescan) {
   }
 }
 
-TEST(MetricsEquivalence, MetricsOffFallbackMatchesRecorder) {
-  auto on = runOne(ProtocolKind::kA1, true, 9, false);
-  auto off = runOne(ProtocolKind::kA1, false, 9, false);
-  // The runs are byte-identical (observation never perturbs), so the
-  // recorder summary and the harvest-time fallback must coincide.
-  EXPECT_EQ(on.metrics, off.metrics);
-}
-
 TEST(MetricsSummary, CountersAndBreakdownsAreCoherent) {
-  auto r = runOne(ProtocolKind::kA1, true, 3, false);
+  auto r = runOne(ProtocolKind::kA1, 3, false);
   const Summary& m = r.metrics;
   EXPECT_EQ(m.casts, r.trace.casts.size());
   EXPECT_EQ(m.deliveries, r.trace.deliveries.size());
@@ -145,8 +135,8 @@ TEST(MetricsSummary, CountersAndBreakdownsAreCoherent) {
 }
 
 TEST(MetricsSummary, MergePoolsExactly) {
-  auto a = runOne(ProtocolKind::kA1, true, 3, false).metrics;
-  auto b = runOne(ProtocolKind::kA1, true, 4, false).metrics;
+  auto a = runOne(ProtocolKind::kA1, 3, false).metrics;
+  auto b = runOne(ProtocolKind::kA1, 4, false).metrics;
   Summary pooled = a;
   pooled.merge(b);
   EXPECT_EQ(pooled.casts, a.casts + b.casts);
