@@ -5,6 +5,13 @@
 
 namespace wanmc::amcast {
 
+namespace {
+
+// The stages a proposal carries (lines 14-17).
+bool proposable(Stage s) { return s == Stage::s0 || s == Stage::s2; }
+
+}  // namespace
+
 A1Node::A1Node(exec::Context& rt, ProcessId pid, const core::StackConfig& cfg,
                A1Options opts)
     : core::XcastNode(rt, pid, cfg), opts_(opts) {
@@ -25,23 +32,73 @@ void A1Node::xcast(const AppMsgPtr& m) {
   rm().rmcast(m);  // line 9: R-MCast(m) to {q | q in m.dest}
 }
 
+void A1Node::setPending(const AppMsgPtr& m, Stage stage, uint64_t ts) {
+  const MsgId id = m->id;
+  auto [it, fresh] = pending_.try_emplace(id, Pend{m, stage, ts});
+  Pend& p = it->second;
+  if (fresh) {
+    byTs_.emplace(ts, id);
+    if (proposable(stage)) proposable_.insert(id);
+  } else {
+    if (p.ts != ts) {
+      auto node = byTs_.extract({p.ts, id});  // re-keyed, not reallocated
+      node.value().first = ts;
+      byTs_.insert(std::move(node));
+    }
+    if (proposable(stage) && !proposable(p.stage)) proposable_.insert(id);
+    if (!proposable(stage) && proposable(p.stage)) proposable_.erase(id);
+    p.msg = m;
+    p.stage = stage;
+    p.ts = ts;
+  }
+  checkIndexes();
+}
+
+void A1Node::erasePending(std::map<MsgId, Pend>::iterator it) {
+  byTs_.erase({it->second.ts, it->first});
+  proposable_.erase(it->first);
+  pending_.erase(it);
+  checkIndexes();
+}
+
+void A1Node::rebuildIndexes() {
+  byTs_.clear();
+  proposable_.clear();
+  for (const auto& [id, p] : pending_) {
+    byTs_.emplace(p.ts, id);
+    if (proposable(p.stage)) proposable_.insert(id);
+  }
+  checkIndexes();
+}
+
+void A1Node::checkIndexes() const {
+#ifndef NDEBUG
+  size_t proposableCount = 0;
+  for (const auto& [id, p] : pending_)
+    if (proposable(p.stage)) ++proposableCount;
+  assert(byTs_.size() == pending_.size());
+  assert(proposable_.size() == proposableCount);
+#endif
+}
+
 void A1Node::noteMessage(const AppMsgPtr& m) {
   // Uniform integrity: only destination processes handle m.
   if (!m->dest.contains(gid())) return;
   if (pending_.count(m->id) || adelivered_.count(m->id)) return;
-  pending_[m->id] = Pend{m, Stage::s0, K_};  // lines 11-13
+  setPending(m, Stage::s0, K_);  // lines 11-13
 }
 
 void A1Node::tryPropose() {
   if (joining()) return;  // rejoin in progress: no proposal initiation
   if (propK_ > K_) return;  // one proposal per instance (line 14)
+  if (proposable_.empty()) return;
+  // proposable_ is id-ordered, so the set comes out canonical.
   A1EntrySet set;
-  for (const auto& [id, p] : pending_) {
-    if (p.stage == Stage::s0 || p.stage == Stage::s2)
-      set.push_back(A1Entry{p.msg, p.stage, p.ts});
+  set.reserve(proposable_.size());
+  for (MsgId id : proposable_) {
+    const Pend& p = pending_.at(id);
+    set.push_back(A1Entry{p.msg, p.stage, p.ts});
   }
-  if (set.empty()) return;
-  canonicalize(set);
   propK_ = K_ + 1;  // line 17
   groupConsensus_->propose(K_, std::move(set));
 }
@@ -49,8 +106,14 @@ void A1Node::tryPropose() {
 void A1Node::onDecided(consensus::Instance k, const ConsensusValue& v) {
   const auto* entries = std::get_if<A1EntrySet>(&v);
   assert(entries != nullptr && "A1 consensus decides A1EntrySets");
-  decisionBuffer_[k] = *entries;
-  drainDecisions();
+  // Outside a rejoin the buffer never holds instance K_ (every path that
+  // moves K_ or ends the join drains it), so an in-order decision applies
+  // at once, straight from the consensus-owned value.
+  if (k != K_ || joining()) {
+    decisionBuffer_[k] = *entries;
+    return;
+  }
+  handleDecided(k, *entries);
 }
 
 void A1Node::drainDecisions() {
@@ -77,41 +140,39 @@ void A1Node::handleDecided(consensus::Instance k, const A1EntrySet& entries) {
   for (const A1Entry& e : entries) {
     const AppMsgPtr& m = e.msg;
     if (adelivered_.count(m->id)) continue;  // already done here
-    Pend& p = pending_[m->id];               // line 30: add or update
-    p.msg = m;
-
+    // line 30: add m or update its fields.
     if (e.stage == Stage::s2) {
       // line 26: the second consensus fixed the group clock; the final
       // timestamp was already adopted at line 39.
-      p.ts = e.ts;
-      p.stage = Stage::s3;
-    } else if (m->dest.size() > 1) {
+      setPending(m, Stage::s3, e.ts);
+      maxTs = std::max(maxTs, e.ts);
+      continue;
+    }
+    maxTs = std::max(maxTs, k);
+    if (m->dest.size() > 1) {
       // lines 21-24: define this group's proposal (= k) and exchange it.
-      p.ts = k;
-      p.stage = Stage::s1;
+      setPending(m, Stage::s1, k);
       tsProposals_[m->id][gid()] = k;
       auto ts = std::make_shared<const TsPayload>(m, k, gid());
       std::vector<ProcessId> remoteDests;
       for (GroupId g : m->dest.groups()) {
         if (g == gid()) continue;
-        for (ProcessId q : topology().members(g)) remoteDests.push_back(q);
+        const auto& ms = topology().members(g);
+        remoteDests.insert(remoteDests.end(), ms.begin(), ms.end());
       }
       sendToMany(remoteDests, ts);  // line 24: one send event
       newlyS1.push_back(m->id);
+    } else if (opts_.skipSingleGroup) {
+      // lines 28-29: single destination group. With the skip optimization
+      // m jumps straight to s3; without it ([5]) m still walks through
+      // s1/s2, which for one group degenerates to an extra consensus
+      // instance.
+      setPending(m, Stage::s3, k);
     } else {
-      // lines 28-29: single destination group. With the skip optimization m
-      // jumps straight to s3; without it ([5]) m still walks through s1/s2,
-      // which for one group degenerates to an extra consensus instance.
-      p.ts = k;
-      if (opts_.skipSingleGroup) {
-        p.stage = Stage::s3;
-      } else {
-        p.stage = Stage::s1;
-        tsProposals_[m->id][gid()] = k;
-        newlyS1.push_back(m->id);
-      }
+      setPending(m, Stage::s1, k);
+      tsProposals_[m->id][gid()] = k;
+      newlyS1.push_back(m->id);
     }
-    maxTs = std::max(maxTs, p.ts);
   }
 
   // line 31: push the group clock past every decided timestamp.
@@ -130,9 +191,13 @@ void A1Node::onProtocolMessage(ProcessId /*from*/, const PayloadPtr& p) {
   const auto* ts = dynamic_cast<const TsPayload*>(p.get());
   assert(ts != nullptr && "A1 protocol layer speaks TsPayload only");
   noteMessage(ts->msg);  // line 10: (TS, m) also introduces m
-  tsProposals_[ts->msg->id][ts->fromGroup] =
-      std::max(tsProposals_[ts->msg->id][ts->fromGroup], ts->ts);
-  checkStage1(ts->msg->id);
+  // A late copy for an m already A-Delivered here has nothing to add; its
+  // table entry would never be erased.
+  if (adelivered_.count(ts->msg->id) == 0) {
+    uint64_t& known = tsProposals_[ts->msg->id][ts->fromGroup];
+    known = std::max(known, ts->ts);
+    checkStage1(ts->msg->id);
+  }
   tryPropose();
 }
 
@@ -155,39 +220,27 @@ void A1Node::checkStage1(MsgId id) {
   if (opts_.skipMaxProposal && p.ts >= max) {
     // line 35-36: our group proposed the final timestamp; its clock is
     // already beyond it (line 31 ran when the proposal was decided).
-    p.stage = Stage::s3;
+    setPending(p.msg, Stage::s3, p.ts);
     adeliveryTest();
   } else {
     // lines 39-40: adopt the final timestamp; a second consensus will push
     // the group clock past it.
-    p.ts = max;
-    p.stage = Stage::s2;
+    setPending(p.msg, Stage::s2, max);
     tryPropose();
   }
 }
 
 void A1Node::adeliveryTest() {
   // lines 3-7: deliver every s3 message whose (ts, id) is minimal among ALL
-  // pending messages (any stage).
-  for (;;) {
-    const Pend* best = nullptr;
-    MsgId bestId = 0;
-    bool blocked = false;
-    for (const auto& [id, p] : pending_) {
-      if (best == nullptr ||
-          std::pair(p.ts, id) < std::pair(best->ts, bestId)) {
-        best = &p;
-        bestId = id;
-      }
-    }
-    if (best == nullptr) return;
-    if (best->stage != Stage::s3) blocked = true;
-    if (blocked) return;
-
-    AppMsgPtr m = best->msg;
-    adelivered_.insert(bestId);
-    pending_.erase(bestId);
-    tsProposals_.erase(bestId);
+  // pending messages (any stage): the first element of byTs_.
+  while (!byTs_.empty()) {
+    const MsgId id = byTs_.begin()->second;
+    auto it = pending_.find(id);
+    if (it->second.stage != Stage::s3) return;
+    AppMsgPtr m = it->second.msg;
+    adelivered_.insert(id);
+    erasePending(it);
+    tsProposals_.erase(id);
     adeliver(m);
   }
 }
@@ -248,6 +301,7 @@ void A1Node::installProtocolState(const bootstrap::Snapshot& snap) {
   // (the clock is past them) — drop them instead of leaking.
   decisionBuffer_.erase(decisionBuffer_.begin(),
                         decisionBuffer_.lower_bound(K_));
+  rebuildIndexes();
 }
 
 void A1Node::resumeAfterInstall() {

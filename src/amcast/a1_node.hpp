@@ -28,6 +28,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "common/consensus_value.hpp"
 #include "core/stack_node.hpp"
@@ -71,6 +72,10 @@ class A1Node final : public core::XcastNode {
     return instancesDecided_;
   }
   [[nodiscard]] size_t pendingCount() const { return pending_.size(); }
+  [[nodiscard]] size_t tsProposalCount() const { return tsProposals_.size(); }
+  [[nodiscard]] size_t bufferedDecisionCount() const {
+    return decisionBuffer_.size();
+  }
 
  protected:
   void onProtocolMessage(ProcessId from, const PayloadPtr& p) override;
@@ -101,6 +106,16 @@ class A1Node final : public core::XcastNode {
     [[nodiscard]] uint64_t approxBytes() const override;
   };
 
+  // The one place a pending entry is added or its stage or timestamp
+  // changes: inserts m at (stage, ts) or moves it there, keeping both
+  // indexes in step.
+  void setPending(const AppMsgPtr& m, Stage stage, uint64_t ts);
+  void erasePending(std::map<MsgId, Pend>::iterator it);
+  // After a bootstrap install has merged raw entries into pending_.
+  void rebuildIndexes();
+  // Debug builds: the index sizes match pending_.
+  void checkIndexes() const;
+
   // Lines 10-13: first sight of m via R-Deliver or (TS, m).
   void noteMessage(const AppMsgPtr& m);
   // Line 14-17: propose all pending s0/s2 messages to the next instance.
@@ -120,10 +135,21 @@ class A1Node final : public core::XcastNode {
   uint64_t K_ = 1;      // this group's clock == next consensus instance
   uint64_t propK_ = 1;  // lowest instance we may still propose to
   std::map<MsgId, Pend> pending_;
+  // Two indexes over pending_, changed only through setPending,
+  // erasePending and rebuildIndexes. Invariants:
+  //  * byTs_ holds exactly one (p.ts, id) per entry of pending_, so its
+  //    first element is the (ts, id)-minimal pending message that
+  //    ADeliveryTest (lines 3-7) looks at;
+  //  * proposable_ holds exactly the ids whose stage is s0 or s2, the
+  //    entries a proposal carries (lines 14-17). It is id-ordered, the
+  //    canonical order of an A1EntrySet.
+  std::set<std::pair<uint64_t, MsgId>> byTs_;
+  std::set<MsgId> proposable_;
   std::set<MsgId> adelivered_;
   // Remote (and own) timestamp proposals per message, per group.
   std::map<MsgId, std::map<GroupId, uint64_t>> tsProposals_;
-  // Decisions that arrived before our clock reached their instance.
+  // Decisions that arrived before our clock reached their instance (or
+  // while joining). A decision for instance K_ skips the buffer.
   std::map<consensus::Instance, A1EntrySet> decisionBuffer_;
   uint64_t instancesDecided_ = 0;
 };

@@ -46,7 +46,7 @@ struct ProtocolState {
 // rejoiner would double-apply them.
 struct ConsensusScopeState {
   uint64_t scope = 0;
-  std::map<uint64_t, ConsensusValue> decisions;  // instance -> decided value
+  std::map<uint64_t, ConsensusValuePtr> decisions;  // instance -> value
 };
 
 struct Snapshot {

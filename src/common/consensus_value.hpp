@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <compare>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <variant>
 #include <vector>
@@ -71,6 +72,11 @@ inline bool sameBundle(const MsgBundle& a, const MsgBundle& b) {
 // yet" placeholder inside consensus implementations; it is never decided.
 using ConsensusValue =
     std::variant<std::monostate, A1EntrySet, MsgBundle, uint64_t>;
+
+// A proposed value is wrapped once and then shared, never copied: by the
+// PROPOSE/ACK/DECIDE payloads that carry it, the estimates and decisions
+// that hold it, and the snapshots that hand decisions to a rejoiner.
+using ConsensusValuePtr = std::shared_ptr<const ConsensusValue>;
 
 inline bool valueEquals(const ConsensusValue& a, const ConsensusValue& b) {
   if (a.index() != b.index()) return false;

@@ -15,14 +15,15 @@ std::string ConsensusPayload::debugString() const {
     case Type::kDecide: t = "DEC"; break;
   }
   return std::string(t) + "(k=" + std::to_string(instance) +
-         ",r=" + std::to_string(round) + "," + valueDebugString(value) + ")";
+         ",r=" + std::to_string(round) + "," +
+         valueDebugString(value ? *value : ConsensusValue{}) + ")";
 }
 
 namespace {
 
 std::shared_ptr<const ConsensusPayload> makePayload(
     uint64_t scope, Instance k, uint32_t round, ConsensusPayload::Type type,
-    ConsensusValue value = std::monostate{}, uint32_t estRound = 0) {
+    ConsensusValuePtr value = nullptr, uint32_t estRound = 0) {
   auto p = std::make_shared<ConsensusPayload>();
   p->scope = scope;
   p->instance = k;
@@ -33,7 +34,36 @@ std::shared_ptr<const ConsensusPayload> makePayload(
   return p;
 }
 
+void addDistinct(std::vector<ProcessId>& pids, ProcessId p) {
+  if (std::find(pids.begin(), pids.end(), p) == pids.end()) pids.push_back(p);
+}
+
+template <class InstanceMap>
+size_t retainedByDecided(const InstanceMap& instances) {
+  size_t n = 0;
+  for (const auto& [k, st] : instances)
+    if (st.decidedFlag) n += st.rounds.size() + (st.estimate ? 1 : 0);
+  return n;
+}
+
 }  // namespace
+
+template <class InstanceState>
+void ConsensusService::decideAndRelay(Instance k, uint32_t r,
+                                      InstanceState& st,
+                                      ConsensusValuePtr v) {
+  st.decidedFlag = true;
+  // Decide BEFORE relaying: the decide event must not inherit the Lamport
+  // tick of the (possibly inter-group) relay broadcast.
+  decideLocal(k, v);
+  if (!st.decideRelayed) {
+    st.decideRelayed = true;
+    broadcast(makePayload(scope_, k, r, ConsensusPayload::Type::kDecide,
+                          std::move(v)));
+  }
+  st.rounds.clear();
+  st.estimate.reset();
+}
 
 bool ConsensusService::maybeRetransmitDecision(ProcessId from, Instance k) {
   if (roundTimeout_ == 0) return false;
@@ -59,11 +89,15 @@ EarlyConsensus::EarlyConsensus(exec::Context& rt, ProcessId self,
     fd_->onSuspicion([this](ProcessId p) { onSuspicion(p); });
 }
 
+size_t EarlyConsensus::retainedAfterDecision() const {
+  return retainedByDecided(instances_);
+}
+
 void EarlyConsensus::propose(Instance k, ConsensusValue v) {
   auto& st = state(k);
   if (st.joined || st.decidedFlag) return;  // one proposal per instance
   st.joined = true;
-  st.estimate = std::move(v);
+  st.estimate = std::make_shared<const ConsensusValue>(std::move(v));
   st.estRound = 0;
   enterRound(k, st.round);
 }
@@ -137,22 +171,6 @@ void EarlyConsensus::coordinatorMaybePropose(Instance k, uint32_t r) {
                         best->value, r));
 }
 
-void EarlyConsensus::maybeDecideOnAcks(Instance k, uint32_t r) {
-  auto& st = state(k);
-  if (st.decidedFlag) return;
-  auto& rs = st.rounds[r];
-  if (rs.acks.size() < majority()) return;
-  st.decidedFlag = true;
-  // Decide BEFORE relaying: the decide event must not inherit the Lamport
-  // tick of the (possibly inter-group) relay broadcast.
-  const ConsensusValue v = rs.ackedValue;
-  decideLocal(k, v);
-  if (!st.decideRelayed) {
-    st.decideRelayed = true;
-    broadcast(
-        makePayload(scope_, k, r, ConsensusPayload::Type::kDecide, v));
-  }
-}
 
 void EarlyConsensus::onMessage(ProcessId from, const ConsensusPayload& p) {
   auto& st = state(p.instance);
@@ -162,6 +180,7 @@ void EarlyConsensus::onMessage(ProcessId from, const ConsensusPayload& p) {
       // amnesiac rejoin catching up: hand it the decision (recovery runs
       // only — see maybeRetransmitDecision).
       if (maybeRetransmitDecision(from, p.instance)) break;
+      if (st.decidedFlag) break;  // retired: a late estimate changes nothing
       auto& rs = st.rounds[p.round];
       rs.estimates[from] = Estimate{p.value, p.estRound};
       // Amnesiac join (recovery runs): an estimate for an instance we
@@ -210,10 +229,12 @@ void EarlyConsensus::onMessage(ProcessId from, const ConsensusPayload& p) {
       break;
     }
     case ConsensusPayload::Type::kAck: {
+      if (st.decidedFlag) break;  // retired: a late ACK changes nothing
       auto& rs = st.rounds[p.round];
-      rs.acks.insert(from);
+      addDistinct(rs.acks, from);
       rs.ackedValue = p.value;
-      maybeDecideOnAcks(p.instance, p.round);
+      if (rs.acks.size() >= majority())
+        decideAndRelay(p.instance, p.round, st, rs.ackedValue);
       break;
     }
     case ConsensusPayload::Type::kNack:
@@ -225,18 +246,9 @@ void EarlyConsensus::onMessage(ProcessId from, const ConsensusPayload& p) {
           p.round > st.round)
         enterRound(p.instance, p.round);
       break;
-    case ConsensusPayload::Type::kDecide: {
-      if (!st.decidedFlag) {
-        st.decidedFlag = true;
-        decideLocal(p.instance, p.value);
-        if (!st.decideRelayed) {
-          st.decideRelayed = true;
-          broadcast(makePayload(scope_, p.instance, p.round,
-                                ConsensusPayload::Type::kDecide, p.value));
-        }
-      }
+    case ConsensusPayload::Type::kDecide:
+      if (!st.decidedFlag) decideAndRelay(p.instance, p.round, st, p.value);
       break;
-    }
   }
 }
 
@@ -265,11 +277,15 @@ CtConsensus::CtConsensus(exec::Context& rt, ProcessId self,
     fd_->onSuspicion([this](ProcessId p) { onSuspicion(p); });
 }
 
+size_t CtConsensus::retainedAfterDecision() const {
+  return retainedByDecided(instances_);
+}
+
 void CtConsensus::propose(Instance k, ConsensusValue v) {
   auto& st = state(k);
   if (st.joined || st.decidedFlag) return;
   st.joined = true;
-  st.estimate = std::move(v);
+  st.estimate = std::make_shared<const ConsensusValue>(std::move(v));
   st.estRound = 0;
   startRound(k);
 }
@@ -321,7 +337,7 @@ void CtConsensus::coordinatorMaybePropose(Instance k, uint32_t r) {
   if (st.decidedFlag || coordinator(k, r) != self_) return;
   auto& rs = st.rounds[r];
   if (rs.proposalSent || rs.estimates.size() < majority()) return;
-  const std::pair<ConsensusValue, uint32_t>* best = nullptr;
+  const std::pair<ConsensusValuePtr, uint32_t>* best = nullptr;
   ProcessId bestPid = kNoProcess;
   for (const auto& [pid, est] : rs.estimates) {
     if (best == nullptr || est.second > best->second ||
@@ -331,7 +347,7 @@ void CtConsensus::coordinatorMaybePropose(Instance k, uint32_t r) {
     }
   }
   rs.proposalSent = true;
-  proposals_[{k, r}] = best->first;
+  rs.proposal = best->first;
   broadcast(makePayload(scope_, k, r, ConsensusPayload::Type::kPropose,
                         best->first, r));
 }
@@ -341,27 +357,20 @@ void CtConsensus::coordinatorMaybeConclude(Instance k, uint32_t r) {
   auto& rs = st.rounds[r];
   if (rs.concluded || rs.acks.size() + rs.nacks.size() < majority()) return;
   rs.concluded = true;
-  if (rs.nacks.empty() && !st.decidedFlag) {
-    // All acks: the proposal of round r is locked by a majority — decide.
-    // rs proposal value == current estimate of any acker; the coordinator
-    // proposed it, so it still has it as its own estimate if it acked, but
-    // to be precise we keep the proposed value implicitly via our own
-    // estimate only if we adopted it; store-and-reuse is simpler:
-    st.decidedFlag = true;
-    decideLocal(k, proposalOf(k, r));
-    if (!st.decideRelayed) {
-      st.decideRelayed = true;
-      broadcast(makePayload(scope_, k, r, ConsensusPayload::Type::kDecide,
-                            proposalOf(k, r)));
-    }
-  }
+  // All acks: the proposal of round r is locked by a majority — decide
+  // the value the coordinator remembered when it proposed.
+  if (rs.nacks.empty() && !st.decidedFlag && rs.proposal != nullptr)
+    decideAndRelay(k, r, st, rs.proposal);
 }
+
+
 
 void CtConsensus::onMessage(ProcessId from, const ConsensusPayload& p) {
   auto& st = state(p.instance);
   switch (p.type) {
     case ConsensusPayload::Type::kEstimate: {
       if (maybeRetransmitDecision(from, p.instance)) break;
+      if (st.decidedFlag) break;  // retired: a late estimate changes nothing
       auto& rs = st.rounds[p.round];
       rs.estimates[from] = {p.value, p.estRound};
       // Amnesiac join, as in EarlyConsensus (recovery runs only).
@@ -376,8 +385,8 @@ void CtConsensus::onMessage(ProcessId from, const ConsensusPayload& p) {
       break;
     }
     case ConsensusPayload::Type::kPropose: {
-      proposals_[{p.instance, p.round}] = p.value;
       if (st.decidedFlag) return;
+      st.rounds[p.round].proposal = p.value;
       if (p.round < st.round) {
         // Same stale-proposer catch-up as EarlyConsensus (recovery runs).
         if (roundTimeout_ != 0)
@@ -402,11 +411,13 @@ void CtConsensus::onMessage(ProcessId from, const ConsensusPayload& p) {
       break;
     }
     case ConsensusPayload::Type::kAck: {
-      st.rounds[p.round].acks.insert(from);
+      if (st.decidedFlag) break;  // retired: a late ACK changes nothing
+      addDistinct(st.rounds[p.round].acks, from);
       coordinatorMaybeConclude(p.instance, p.round);
       break;
     }
     case ConsensusPayload::Type::kNack: {
+      if (st.decidedFlag) break;  // likewise for a late NACK
       // Round catch-up (recovery runs): a nack from a higher round means
       // we are the stale one — jump there instead of pipelining through
       // every round in between.
@@ -416,22 +427,13 @@ void CtConsensus::onMessage(ProcessId from, const ConsensusPayload& p) {
         startRound(p.instance);
         break;
       }
-      st.rounds[p.round].nacks.insert(from);
+      addDistinct(st.rounds[p.round].nacks, from);
       coordinatorMaybeConclude(p.instance, p.round);
       break;
     }
-    case ConsensusPayload::Type::kDecide: {
-      if (!st.decidedFlag) {
-        st.decidedFlag = true;
-        decideLocal(p.instance, p.value);
-        if (!st.decideRelayed) {
-          st.decideRelayed = true;
-          broadcast(makePayload(scope_, p.instance, p.round,
-                                ConsensusPayload::Type::kDecide, p.value));
-        }
-      }
+    case ConsensusPayload::Type::kDecide:
+      if (!st.decidedFlag) decideAndRelay(p.instance, p.round, st, p.value);
       break;
-    }
   }
 }
 

@@ -27,7 +27,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -48,7 +47,7 @@ struct ConsensusPayload final : Payload {
   Instance instance = 0;
   uint32_t round = 0;
   Type type = Type::kEstimate;
-  ConsensusValue value;
+  ConsensusValuePtr value;  // null on NACKs
   uint32_t estRound = 0;  // round in which `value` was last locked
 
   [[nodiscard]] Layer layer() const override { return Layer::kConsensus; }
@@ -90,8 +89,11 @@ class ConsensusService {
     return decided_.count(k) > 0;
   }
   [[nodiscard]] const ConsensusValue& decision(Instance k) const {
-    return decided_.at(k);
+    return *decided_.at(k);
   }
+  // Round states and estimates still held by decided instances. An
+  // instance releases both when it decides, so this stays 0.
+  [[nodiscard]] virtual size_t retainedAfterDecision() const = 0;
 
   // Bootstrap plane (src/bootstrap/): the decided-instance table is part of
   // a donor's snapshot, and a rejoining incarnation installs it SILENTLY —
@@ -99,10 +101,11 @@ class ConsensusService {
   // reflects every decision's effect. The install also arms
   // maybeRetransmitDecision: the rejoiner can answer stragglers stuck in
   // instances it never personally ran.
-  [[nodiscard]] const std::map<Instance, ConsensusValue>& decisions() const {
+  [[nodiscard]] const std::map<Instance, ConsensusValuePtr>& decisions()
+      const {
     return decided_;
   }
-  void installDecisions(const std::map<Instance, ConsensusValue>& ds) {
+  void installDecisions(const std::map<Instance, ConsensusValuePtr>& ds) {
     for (const auto& [k, v] : ds) decided_.emplace(k, v);
   }
 
@@ -114,11 +117,15 @@ class ConsensusService {
   void broadcast(const std::shared_ptr<const ConsensusPayload>& p) {
     rt_.multicast(self_, members_, p);  // one send event (paper §2.3)
   }
-  void decideLocal(Instance k, const ConsensusValue& v) {
-    if (decided_.count(k)) return;
-    decided_[k] = v;
-    for (const auto& cb : decideCbs_) cb(k, v);
+  void decideLocal(Instance k, const ConsensusValuePtr& v) {
+    if (!decided_.try_emplace(k, v).second) return;
+    for (const auto& cb : decideCbs_) cb(k, *v);
   }
+  // Decides `v` for instance k in round r, relays the decision once, and
+  // releases the instance's round state and estimate.
+  template <class InstanceState>
+  void decideAndRelay(Instance k, uint32_t r, InstanceState& st,
+                      ConsensusValuePtr v);
 
   // Decision retransmission (armed with the round timeout): an estimate
   // for an instance we already decided means the sender is stuck in a
@@ -133,7 +140,7 @@ class ConsensusService {
   fd::FailureDetector* fd_;
   uint64_t scope_;
   SimTime roundTimeout_ = 0;
-  std::map<Instance, ConsensusValue> decided_;
+  std::map<Instance, ConsensusValuePtr> decided_;
 
  private:
   std::vector<DecideCb> decideCbs_;
@@ -150,24 +157,27 @@ class EarlyConsensus final : public ConsensusService {
 
   void propose(Instance k, ConsensusValue v) override;
   void onMessage(ProcessId from, const ConsensusPayload& p) override;
+  [[nodiscard]] size_t retainedAfterDecision() const override;
 
  private:
   struct Estimate {
-    ConsensusValue value;
+    ConsensusValuePtr value;
     uint32_t estRound = 0;
   };
   struct RoundState {
     std::map<ProcessId, Estimate> estimates;  // collected by the coordinator
-    std::set<ProcessId> acks;
-    ConsensusValue ackedValue;  // the value the round's ACKs carry
+    std::vector<ProcessId> acks;  // distinct ackers
+    ConsensusValuePtr ackedValue;  // the value the round's ACKs carry
     bool proposalSent = false;
     bool ackSent = false;
   };
+  // `rounds` and `estimate` are released when the instance decides; late
+  // messages for a decided instance never recreate them.
   struct InstanceState {
     bool joined = false;     // proposed locally or adopted a proposal
     bool decidedFlag = false;
     bool decideRelayed = false;
-    ConsensusValue estimate;
+    ConsensusValuePtr estimate;
     uint32_t estRound = 0;
     uint32_t round = 1;      // current round as a participant
     std::map<uint32_t, RoundState> rounds;
@@ -177,7 +187,6 @@ class EarlyConsensus final : public ConsensusService {
 
   void enterRound(Instance k, uint32_t r);
   void coordinatorMaybePropose(Instance k, uint32_t r);
-  void maybeDecideOnAcks(Instance k, uint32_t r);
   void onSuspicion(ProcessId p);
   void armRoundTimer(Instance k, uint32_t r);
   void sendToCoord(Instance k, uint32_t r,
@@ -199,20 +208,26 @@ class CtConsensus final : public ConsensusService {
 
   void propose(Instance k, ConsensusValue v) override;
   void onMessage(ProcessId from, const ConsensusPayload& p) override;
+  [[nodiscard]] size_t retainedAfterDecision() const override;
 
  private:
   struct RoundState {
-    std::map<ProcessId, std::pair<ConsensusValue, uint32_t>> estimates;
-    std::set<ProcessId> acks;
-    std::set<ProcessId> nacks;
+    std::map<ProcessId, std::pair<ConsensusValuePtr, uint32_t>> estimates;
+    std::vector<ProcessId> acks;   // distinct ackers
+    std::vector<ProcessId> nacks;  // distinct nackers
+    // The round's proposal, remembered so the coordinator can decide it in
+    // phase 4.
+    ConsensusValuePtr proposal;
     bool proposalSent = false;
     bool concluded = false;  // coordinator finished phase 4 for this round
   };
+  // As in EarlyConsensus, `rounds` and `estimate` go when the instance
+  // decides.
   struct InstanceState {
     bool joined = false;
     bool decidedFlag = false;
     bool decideRelayed = false;
-    ConsensusValue estimate;
+    ConsensusValuePtr estimate;
     uint32_t estRound = 0;
     uint32_t round = 1;
     bool repliedThisRound = false;  // sent ack or nack for `round`
@@ -226,14 +241,8 @@ class CtConsensus final : public ConsensusService {
   void coordinatorMaybeConclude(Instance k, uint32_t r);
   void onSuspicion(ProcessId p);
   void armRoundTimer(Instance k, uint32_t r);
-  [[nodiscard]] const ConsensusValue& proposalOf(Instance k, uint32_t r) {
-    return proposals_[{k, r}];
-  }
 
   std::map<Instance, InstanceState> instances_;
-  // Proposal broadcast in (instance, round), remembered by every process so
-  // the coordinator can decide it in phase 4.
-  std::map<std::pair<Instance, uint32_t>, ConsensusValue> proposals_;
 };
 
 enum class ConsensusKind { kEarly, kCt };

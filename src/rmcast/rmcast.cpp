@@ -18,44 +18,49 @@ std::vector<ProcessId> allBut(const std::vector<ProcessId>& v,
 }  // namespace
 
 void ReliableMulticast::rmcast(const AppMsgPtr& m) {
-  auto dests = destsOf(*m);
+  Seen& s = entry(m, nullptr);
   auto payload = std::make_shared<const RmPayload>(m, /*relay=*/false);
-  rt_.multicast(self_, allBut(dests, self_), payload);
+  rt_.multicast(self_, allBut(s.dests, self_), payload);
   // The sender itself sees the message immediately (and R-Delivers it at
   // once if it is an addressee).
-  firstSight(m, self_, dests, /*explicitScope=*/false);
+  onCopy(s, self_);
 }
 
 void ReliableMulticast::rmcastTo(const AppMsgPtr& m,
                                  const std::vector<ProcessId>& dests) {
+  Seen& s = entry(m, &dests);
   auto payload = std::make_shared<const RmPayload>(m, /*relay=*/false, dests);
   rt_.multicast(self_, allBut(dests, self_), payload);
-  firstSight(m, self_, dests, /*explicitScope=*/true);
+  onCopy(s, self_);
 }
 
 void ReliableMulticast::onMessage(ProcessId from, const RmPayload& p) {
-  if (p.explicitDests.empty()) {
-    firstSight(p.msg, from, destsOf(*p.msg), /*explicitScope=*/false);
-  } else {
-    firstSight(p.msg, from, p.explicitDests, /*explicitScope=*/true);
-  }
+  onCopy(entry(p.msg, p.explicitDests.empty() ? nullptr : &p.explicitDests),
+         from);
 }
 
-void ReliableMulticast::firstSight(const AppMsgPtr& m, ProcessId copyFrom,
-                                   const std::vector<ProcessId>& dests,
-                                   bool explicitScope) {
-  auto& s = seen_[m->id];
+ReliableMulticast::Seen& ReliableMulticast::entry(
+    const AppMsgPtr& m, const std::vector<ProcessId>* explicitDests) {
+  Seen& s = seen_[m->id];
   if (s.msg == nullptr) {
     s.msg = m;
-    s.dests = dests;
-    s.explicitScope = explicitScope;
+    s.explicitScope = explicitDests != nullptr;
+    s.dests = s.explicitScope ? *explicitDests
+                              : rt_.topology().membersOf(m->dest);
   }
-  if (rt_.topology().sameGroup(copyFrom, self_)) s.copiesFrom.insert(copyFrom);
+  return s;
+}
+
+void ReliableMulticast::onCopy(Seen& s, ProcessId copyFrom) {
+  // Only the uniform variant counts copies.
+  if (uniformity_ == Uniformity::kUniform &&
+      rt_.topology().sameGroup(copyFrom, self_))
+    s.copiesFrom.insert(copyFrom);
 
   if (!s.relayed) {
     s.relayed = true;
     auto relay = std::make_shared<const RmPayload>(
-        m, /*relay=*/true,
+        s.msg, /*relay=*/true,
         s.explicitScope ? s.dests : std::vector<ProcessId>{});
     const GroupId myGroup = rt_.topology().group(self_);
     std::vector<ProcessId> tos;
@@ -66,12 +71,11 @@ void ReliableMulticast::firstSight(const AppMsgPtr& m, ProcessId copyFrom,
     }
     rt_.multicast(self_, tos, relay);
   }
-  maybeDeliver(m->id);
+  maybeDeliver(s);
 }
 
-void ReliableMulticast::maybeDeliver(MsgId id) {
-  if (delivered_.count(id)) return;
-  auto& s = seen_[id];
+void ReliableMulticast::maybeDeliver(Seen& s) {
+  if (s.delivered) return;
   // Uniform integrity: only addressees R-Deliver. (Non-addressees can still
   // see the message, e.g. a sender that multicasts outside its own group.)
   if (s.explicitScope) {
@@ -86,11 +90,11 @@ void ReliableMulticast::maybeDeliver(MsgId id) {
         rt_.topology().groupSize(rt_.topology().group(self_)));
     const size_t need = groupSize / 2 + 1;
     // Our own sighting counts as one copy.
-    auto copies = s.copiesFrom;
-    copies.insert(self_);
-    if (copies.size() < need) return;
+    const size_t copies =
+        s.copiesFrom.size() + (s.copiesFrom.count(self_) == 0 ? 1 : 0);
+    if (copies < need) return;
   }
-  delivered_.insert(id);
+  s.delivered = true;
   for (const auto& cb : deliverCbs_) cb(s.msg);
 }
 

@@ -85,7 +85,8 @@ class ReliableMulticast {
   void onMessage(ProcessId from, const RmPayload& p);
 
   [[nodiscard]] bool delivered(MsgId id) const {
-    return delivered_.count(id) > 0;
+    auto it = seen_.find(id);
+    return it != seen_.end() && it->second.delivered;
   }
 
   // Bootstrap plane (src/bootstrap/): a donor exports its R-Delivered
@@ -97,7 +98,7 @@ class ReliableMulticast {
   [[nodiscard]] std::vector<AppMsgPtr> snapshotDelivered() const {
     std::vector<AppMsgPtr> out;
     for (const auto& [id, s] : seen_)
-      if (delivered_.count(id) > 0) out.push_back(s.msg);
+      if (s.delivered) out.push_back(s.msg);
     return out;
   }
   void installDelivered(const std::vector<AppMsgPtr>& msgs) {
@@ -105,7 +106,7 @@ class ReliableMulticast {
       Seen& s = seen_[m->id];
       s.msg = m;
       s.relayed = true;
-      delivered_.insert(m->id);
+      s.delivered = true;
     }
   }
 
@@ -114,16 +115,16 @@ class ReliableMulticast {
     AppMsgPtr msg;
     std::set<ProcessId> copiesFrom;  // distinct own-group copy senders
     bool relayed = false;
+    bool delivered = false;
     bool explicitScope = false;   // dests came from rmcastTo
     std::vector<ProcessId> dests;
   };
 
-  void firstSight(const AppMsgPtr& m, ProcessId copyFrom,
-                  const std::vector<ProcessId>& dests, bool explicitScope);
-  void maybeDeliver(MsgId id);
-  [[nodiscard]] std::vector<ProcessId> destsOf(const AppMessage& m) const {
-    return rt_.topology().membersOf(m.dest);
-  }
+  // m's entry; on first sight it records m and its destinations, which are
+  // `explicitDests` when given, else the members of m's groups.
+  Seen& entry(const AppMsgPtr& m, const std::vector<ProcessId>* explicitDests);
+  void onCopy(Seen& s, ProcessId copyFrom);
+  void maybeDeliver(Seen& s);
 
   exec::Context& rt_;
   ProcessId self_;
@@ -131,7 +132,6 @@ class ReliableMulticast {
   Uniformity uniformity_;
   std::vector<DeliverCb> deliverCbs_;
   std::map<MsgId, Seen> seen_;
-  std::set<MsgId> delivered_;
 };
 
 }  // namespace wanmc::rmcast

@@ -216,6 +216,72 @@ TEST(A1, CtConsensusYieldsSameDeliveryOrder) {
   EXPECT_EQ(orderWith(consensus::ConsensusKind::kCt).size(), 3u);
 }
 
+TEST(A1, StateDrainsAtQuiescence) {
+  // Once every cast is delivered, nothing is left behind: no pending entry,
+  // no timestamp proposal (late (TS, m) copies for delivered messages
+  // included) and no buffered decision.
+  Experiment ex(cfg(3, 3, 5));
+  ex.addWorkload(workload::Spec::openLoopPoisson(300, 3 * kMs, 2));
+  auto r = ex.run(600 * kSec);
+  auto v = r.checkAtomicSuite();
+  ASSERT_TRUE(v.empty()) << v[0];
+  ASSERT_EQ(r.trace.casts.size(), 300u);
+  for (ProcessId p = 0; p < 9; ++p) {
+    const auto& n = dynamic_cast<amcast::A1Node&>(ex.node(p));
+    EXPECT_EQ(n.pendingCount(), 0u) << "p" << p;
+    EXPECT_EQ(n.tsProposalCount(), 0u) << "p" << p;
+    EXPECT_EQ(n.bufferedDecisionCount(), 0u) << "p" << p;
+  }
+}
+
+TEST(A1, PendingIndexesFollowStagesAndAnInstall) {
+  // One node's pending table goes through every stage change and a
+  // bootstrap install. p0 hears nothing in [40 ms, 300 ms) while its group
+  // goes on ordering, then installs a snapshot from groupmate p1; it must
+  // end with p1's delivery order and an empty table. Group 1 first runs
+  // its clock ahead on single-group casts, so group 0's two-group messages
+  // take s0 -> s1 -> s2 -> s3 while group 1's skip s2. In Debug builds
+  // every index update also asserts the index sizes against the table.
+  auto c = fixedCfg(2, 3, 2);
+  // Liveness if p0 is the silent coordinator of the instance in progress.
+  c.stack.consensusRoundTimeout = 200 * kMs;
+  Experiment ex(c);
+  ex.runtime().setDropFilter([&ex](ProcessId, ProcessId to, const Payload&) {
+    const SimTime t = ex.runtime().now();
+    return to == 0 && t >= 40 * kMs && t < 300 * kMs;
+  });
+  const GroupSet both = GroupSet::of({0, 1});
+  for (int i = 0; i < 4; ++i)
+    ex.castAt(kMs + i * kMs, 3, GroupSet::of({1}), "g1");
+  for (int i = 0; i < 3; ++i) {
+    ex.castAt(10 * kMs + i * 10 * kMs, 0, both, "before");
+    ex.castAt(12 * kMs + i * 10 * kMs, 4, both, "before");
+    ex.castAt(50 * kMs + i * 10 * kMs, 1, GroupSet::of({0}), "during");
+    ex.castAt(55 * kMs + i * 10 * kMs, 4, both, "during");
+    ex.castAt(310 * kMs + i * 10 * kMs, 2, both, "after");
+    ex.castAt(315 * kMs + i * 10 * kMs, 0, GroupSet::of({0}), "after");
+  }
+  ex.castAt(80 * kMs, 0, both, "cut off");
+  ex.run(300 * kMs);
+
+  auto& p0 = dynamic_cast<amcast::A1Node&>(ex.node(0));
+  p0.setJoining(true);
+  p0.installSnapshot(*ex.node(1).makeSnapshot());
+  auto r = ex.run(600 * kSec);
+
+  auto v = r.checkAtomicSuite();
+  EXPECT_TRUE(v.empty()) << v[0];
+  ASSERT_EQ(ex.node(0).delivered().size(), 19u);
+  std::vector<MsgId> seq[3];
+  for (ProcessId p = 0; p < 3; ++p)
+    for (const AppMsgPtr& m : ex.node(p).delivered()) seq[p].push_back(m->id);
+  EXPECT_EQ(seq[0], seq[1]);
+  EXPECT_EQ(seq[1], seq[2]);
+  for (ProcessId p = 0; p < 6; ++p)
+    EXPECT_EQ(dynamic_cast<amcast::A1Node&>(ex.node(p)).pendingCount(), 0u)
+        << "p" << p;
+}
+
 class A1Sweep : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(A1Sweep, SafetyAcrossTopologiesAndSeeds) {

@@ -215,6 +215,48 @@ TEST_P(ConsensusParamTest, BundleValuesRoundTrip) {
   EXPECT_EQ(d[1]->id, 3u);
 }
 
+TEST_P(ConsensusParamTest, DecidedInstancesReleaseRoundState) {
+  Fixture f(3, GetParam());
+  for (Instance k = 1; k <= 20; ++k)
+    for (int p = 0; p < 3; ++p) f.hosts[p]->svc->propose(k, num(k));
+  f.rt.run();
+  for (int p = 0; p < 3; ++p) {
+    EXPECT_EQ(f.hosts[p]->decisions.size(), 20u) << "p" << p;
+    EXPECT_EQ(f.hosts[p]->svc->retainedAfterDecision(), 0u) << "p" << p;
+  }
+}
+
+TEST_P(ConsensusParamTest, LateAckOrEstimateForDecidedInstanceSendsNothing) {
+  Fixture f(3, GetParam());
+  for (int p = 0; p < 3; ++p) f.hosts[p]->svc->propose(1, num(5));
+  f.rt.run();
+  const auto before = f.rt.traffic().at(Layer::kConsensus);
+  for (auto type : {consensus::ConsensusPayload::Type::kAck,
+                    consensus::ConsensusPayload::Type::kEstimate}) {
+    // Round 2 is coordinated by p2: a live round state there would have
+    // collected these estimates into a proposal.
+    consensus::ConsensusPayload late;
+    late.scope = f.hosts[0]->svc->scope();
+    late.instance = 1;
+    late.round = 2;
+    late.type = type;
+    late.value = std::make_shared<const ConsensusValue>(num(6));
+    late.estRound = 1;
+    for (int p = 0; p < 3; ++p)
+      for (ProcessId from = 0; from < 3; ++from)
+        f.hosts[p]->svc->onMessage(from, late);
+  }
+  f.rt.run();
+  const auto after = f.rt.traffic().at(Layer::kConsensus);
+  EXPECT_EQ(after.intra, before.intra);
+  EXPECT_EQ(after.inter, before.inter);
+  for (int p = 0; p < 3; ++p) {
+    EXPECT_EQ(f.hosts[p]->decisionOrder.size(), 1u) << "p" << p;
+    EXPECT_TRUE(valueEquals(f.hosts[p]->decisions[1], num(5))) << "p" << p;
+    EXPECT_EQ(f.hosts[p]->svc->retainedAfterDecision(), 0u) << "p" << p;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllKinds, ConsensusParamTest,
                          ::testing::Values(ConsensusKind::kEarly,
                                            ConsensusKind::kCt),
