@@ -7,6 +7,7 @@
 //     max_{q in Pi'(m)} ts(A-Deliver(m)_q) - ts(A-XCast(m)_p).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -114,11 +115,25 @@ struct RunTrace {
     return best;
   }
 
-  // Latency degrees of all cast-and-delivered messages.
+  // Latency degrees of all cast-and-delivered messages, in cast order: the
+  // values latencyDegree(c.msg) gives for each cast c, in one pass over
+  // casts and deliveries.
   [[nodiscard]] std::vector<int64_t> allLatencyDegrees() const {
+    struct Span {
+      uint64_t cast = 0;                  // the first cast's stamp (castOf)
+      std::optional<uint64_t> delivered;  // the latest delivery stamp
+    };
+    std::map<MsgId, Span> spans;
+    for (const auto& c : casts) spans.try_emplace(c.msg, Span{c.lamport, {}});
+    for (const auto& d : deliveries)
+      if (auto it = spans.find(d.msg); it != spans.end())
+        it->second.delivered =
+            std::max(it->second.delivered.value_or(0), d.lamport);
     std::vector<int64_t> out;
     for (const auto& c : casts)
-      if (auto d = latencyDegree(c.msg)) out.push_back(*d);
+      if (const Span& s = spans.at(c.msg); s.delivered)
+        out.push_back(static_cast<int64_t>(*s.delivered) -
+                      static_cast<int64_t>(s.cast));
     return out;
   }
 

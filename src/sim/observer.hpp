@@ -8,9 +8,8 @@
 // fingerprints pin this).
 //
 // This generalizes (and since PR 10 fully replaces) the PR 3
-// addDeliveryObserver hook: the metrics recorder (src/metrics/), the
-// streaming order checkers (src/verify/streaming.hpp), and the experiment's
-// closed-loop workload feedback all feed off this plane instead of
+// addDeliveryObserver hook: the metrics recorder (src/metrics/) and the
+// experiment's closed-loop workload feedback feed off this plane instead of
 // rescanning the RunTrace after the fact.
 #pragma once
 

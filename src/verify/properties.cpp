@@ -1,8 +1,8 @@
 #include "verify/properties.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
-#include <tuple>
 
 namespace wanmc::verify {
 
@@ -21,46 +21,124 @@ std::string mname(MsgId m) {
   return s;
 }
 
-bool isAddressee(const CheckContext& ctx, ProcessId p, MsgId m) {
-  auto it = ctx.trace->destOf.find(m);
-  if (it == ctx.trace->destOf.end()) return false;
-  return it->second.contains(ctx.topo->group(p));
-}
+// Everything the checks read from a trace, as flat arrays built in one
+// pass, so that each check is a linear walk over them. Messages live in
+// slots numbered in ascending MsgId order, so comparing or walking slots is
+// comparing or walking ids.
+class TraceIndex {
+ public:
+  explicit TraceIndex(const CheckContext& ctx) : topo_(*ctx.topo) {
+    const RunTrace& t = *ctx.trace;
+    for (const auto& [m, dest] : t.destOf) {
+      ids.push_back(m);
+      destBits.push_back(dest.bits());
+    }
+    if (std::vector<MsgId> extra = resolve(t); !extra.empty()) {
+      // Cast or delivered ids missing from destOf (hand-built or damaged
+      // traces only) get slots with no destination.
+      std::sort(extra.begin(), extra.end());
+      extra.erase(std::unique(extra.begin(), extra.end()), extra.end());
+      std::vector<MsgId> merged(ids.size() + extra.size());
+      std::merge(ids.begin(), ids.end(), extra.begin(), extra.end(),
+                 merged.begin());
+      std::vector<uint64_t> bits(merged.size(), 0);
+      for (size_t s = 0, k = 0; s < merged.size(); ++s)
+        if (k < ids.size() && ids[k] == merged[s]) bits[s] = destBits[k++];
+      ids = std::move(merged);
+      destBits = std::move(bits);
+      resolve(t);
+    }
 
-// Final delivery sequence of every process.
-std::map<ProcessId, std::vector<MsgId>> sequences(const CheckContext& ctx) {
-  return ctx.trace->sequences();
-}
+    wasCast.assign(ids.size(), 0);
+    for (uint32_t s : castSlot) wasCast[s] = 1;
 
-Violations prefixOrderOver(const CheckContext& ctx,
+    const auto n = static_cast<size_t>(topo_.numProcesses());
+    words_ = (ids.size() + 63) / 64;
+    delivered_.assign(n * words_, 0);
+    seqs.resize(n);
+    for (size_t i = 0; i < t.deliveries.size(); ++i) {
+      const auto p = static_cast<size_t>(t.deliveries[i].process);
+      const uint32_t s = deliverySlot[i];
+      seqs[p].push_back(s);
+      uint64_t& w = delivered_[p * words_ + s / 64];
+      const uint64_t bit = uint64_t{1} << (s % 64);
+      if ((w & bit) != 0) redelivered = true;
+      w |= bit;
+    }
+  }
+
+  [[nodiscard]] uint64_t groupBit(ProcessId p) const {
+    return uint64_t{1} << topo_.group(p);
+  }
+  [[nodiscard]] bool isAddressee(ProcessId p, uint32_t s) const {
+    return (destBits[s] & groupBit(p)) != 0;
+  }
+  [[nodiscard]] bool hasDelivered(ProcessId p, uint32_t s) const {
+    return ((delivered_[static_cast<size_t>(p) * words_ + s / 64] >>
+             (s % 64)) & 1u) != 0;
+  }
+
+  std::vector<MsgId> ids;         // slot -> id, ascending
+  std::vector<uint64_t> destBits;  // per slot; 0 when the id has no destOf
+  std::vector<uint8_t> wasCast;    // per slot
+  std::vector<uint32_t> castSlot;            // per trace cast
+  std::vector<uint32_t> deliverySlot;        // per trace delivery
+  std::vector<std::vector<uint32_t>> seqs;   // per process, in order
+  bool redelivered = false;  // some process delivered some slot twice
+
+ private:
+  // Binary-searches each cast's and delivery's id among the slots; returns
+  // the ids that have none.
+  std::vector<MsgId> resolve(const RunTrace& t) {
+    std::vector<MsgId> missing;
+    auto slotOf = [&](MsgId m) {
+      const auto it = std::lower_bound(ids.begin(), ids.end(), m);
+      if (it == ids.end() || *it != m) missing.push_back(m);
+      return static_cast<uint32_t>(it - ids.begin());
+    };
+    castSlot.clear();
+    deliverySlot.clear();
+    for (const auto& c : t.casts) castSlot.push_back(slotOf(c.msg));
+    for (const auto& d : t.deliveries) deliverySlot.push_back(slotOf(d.msg));
+    return missing;
+  }
+
+  const Topology& topo_;
+  size_t words_ = 0;
+  std::vector<uint64_t> delivered_;  // (process, slot) bits, row-major
+};
+
+// First divergence of each pair's sequences projected on the messages
+// addressed to both: a message is kept iff its destination covers both
+// processes' group bits.
+Violations prefixOrderOver(const TraceIndex& ix,
                            const std::set<ProcessId>& procs) {
   Violations out;
-  auto seqs = sequences(ctx);
-  std::vector<ProcessId> ps(procs.begin(), procs.end());
+  const std::vector<ProcessId> ps(procs.begin(), procs.end());
   for (size_t i = 0; i < ps.size(); ++i) {
     for (size_t j = i + 1; j < ps.size(); ++j) {
       const ProcessId p = ps[i];
       const ProcessId q = ps[j];
-      // Project both sequences on messages addressed to BOTH p and q.
-      auto project = [&](ProcessId self) {
-        std::vector<MsgId> out2;
-        for (MsgId m : seqs[self])
-          if (isAddressee(ctx, p, m) && isAddressee(ctx, q, m))
-            out2.push_back(m);
-        return out2;
+      const uint64_t mask = ix.groupBit(p) | ix.groupBit(q);
+      const auto& sp = ix.seqs[static_cast<size_t>(p)];
+      const auto& sq = ix.seqs[static_cast<size_t>(q)];
+      auto next = [&](const std::vector<uint32_t>& seq, size_t k) {
+        while (k < seq.size() && (ix.destBits[seq[k]] & mask) != mask) ++k;
+        return k;
       };
-      const auto sp = project(p);
-      const auto sq = project(q);
-      const size_t n = std::min(sp.size(), sq.size());
-      for (size_t x = 0; x < n; ++x) {
-        if (sp[x] != sq[x]) {
+      size_t a = next(sp, 0);
+      size_t b = next(sq, 0);
+      for (size_t x = 0; a < sp.size() && b < sq.size(); ++x) {
+        if (sp[a] != sq[b]) {
           std::ostringstream os;
           os << "prefix order violated between " << pname(p) << " and "
-             << pname(q) << " at position " << x << ": " << mname(sp[x])
-             << " vs " << mname(sq[x]);
+             << pname(q) << " at position " << x << ": "
+             << mname(ix.ids[sp[a]]) << " vs " << mname(ix.ids[sq[b]]);
           out.push_back(os.str());
           break;
         }
+        a = next(sp, a + 1);
+        b = next(sq, b + 1);
       }
     }
   }
@@ -84,54 +162,64 @@ int incarnationAt(const std::vector<SimTime>& times, SimTime when) {
       std::upper_bound(times.begin(), times.end(), when) - times.begin());
 }
 
-}  // namespace
-
-std::set<ProcessId> recoveredProcesses(const CheckContext& ctx) {
-  std::set<ProcessId> out;
-  for (const auto& r : ctx.trace->recoveries) out.insert(r.process);
-  return out;
-}
-
-Violations checkUniformIntegrity(const CheckContext& ctx) {
+Violations integrity(const CheckContext& ctx, const TraceIndex& ix) {
   Violations out;
-  std::set<MsgId> cast;
-  for (const auto& c : ctx.trace->casts) cast.insert(c.msg);
-  const auto recTimes = recoveryTimes(ctx);
-
-  // The duplicate check binds per (process, incarnation): an amnesiac
-  // recovered process may re-deliver what its dead incarnation delivered,
-  // but never the same message twice within one incarnation.
-  std::map<std::tuple<ProcessId, int, MsgId>, int> count;
-  for (const auto& d : ctx.trace->deliveries) {
-    int inc = 0;
-    if (auto it = recTimes.find(d.process); it != recTimes.end())
-      inc = incarnationAt(it->second, d.when);
-    ++count[{d.process, inc, d.msg}];
-    if (!cast.count(d.msg))
+  const auto& deliveries = ctx.trace->deliveries;
+  for (size_t i = 0; i < deliveries.size(); ++i) {
+    const DeliveryEvent& d = deliveries[i];
+    const uint32_t s = ix.deliverySlot[i];
+    if (ix.wasCast[s] == 0)
       out.push_back(pname(d.process) + " delivered " + mname(d.msg) +
                     " which was never A-XCast");
-    if (!isAddressee(ctx, d.process, d.msg))
+    if (!ix.isAddressee(d.process, s))
       out.push_back(pname(d.process) + " delivered " + mname(d.msg) +
                     " but is not an addressee");
   }
-  for (const auto& [key, n] : count) {
-    if (n > 1)
-      out.push_back(pname(std::get<0>(key)) + " delivered " +
-                    mname(std::get<2>(key)) + " " + std::to_string(n) +
-                    " times");
+  if (!ix.redelivered) return out;
+
+  // The duplicate check binds per (process, incarnation): an amnesiac
+  // recovered process may re-deliver what its dead incarnation delivered,
+  // but never the same message twice within one incarnation. Sorted keys
+  // report each duplicate once, in (process, incarnation, id) order.
+  struct Key {
+    ProcessId p;
+    int inc;
+    uint32_t slot;
+    auto operator<=>(const Key&) const = default;
+  };
+  const auto recTimes = recoveryTimes(ctx);
+  std::vector<Key> keys;
+  keys.reserve(deliveries.size());
+  for (size_t i = 0; i < deliveries.size(); ++i) {
+    const DeliveryEvent& d = deliveries[i];
+    int inc = 0;
+    if (auto it = recTimes.find(d.process); it != recTimes.end())
+      inc = incarnationAt(it->second, d.when);
+    keys.push_back(Key{d.process, inc, ix.deliverySlot[i]});
+  }
+  std::sort(keys.begin(), keys.end());
+  for (size_t i = 0, j = 0; i < keys.size(); i = j) {
+    while (j < keys.size() && keys[j] == keys[i]) ++j;
+    if (j - i > 1)
+      out.push_back(pname(keys[i].p) + " delivered " +
+                    mname(ix.ids[keys[i].slot]) + " " +
+                    std::to_string(j - i) + " times");
   }
   return out;
 }
 
-Violations checkRecoveredDelivery(const CheckContext& ctx) {
+// Whether every correct addressee of slot `s` delivered it.
+bool settledAtCorrect(const CheckContext& ctx, const TraceIndex& ix,
+                      uint32_t s) {
+  return std::all_of(ctx.correct.begin(), ctx.correct.end(),
+                     [&](ProcessId q) {
+                       return !ix.isAddressee(q, s) || ix.hasDelivered(q, s);
+                     });
+}
+
+Violations recoveredDelivery(const CheckContext& ctx, const TraceIndex& ix) {
   Violations out;
   const auto recTimes = recoveryTimes(ctx);
-  if (recTimes.empty()) return out;
-
-  std::map<ProcessId, std::set<MsgId>> deliveredBy;
-  for (const auto& d : ctx.trace->deliveries)
-    deliveredBy[d.process].insert(d.msg);
-
   std::map<ProcessId, SimTime> lastCrash;
   for (const auto& c : ctx.trace->crashes)
     lastCrash[c.process] = std::max(lastCrash[c.process], c.when);
@@ -144,22 +232,16 @@ Violations checkRecoveredDelivery(const CheckContext& ctx) {
     if (auto it = lastCrash.find(p);
         it != lastCrash.end() && it->second > lastRecovery)
       continue;
-    for (const auto& c : ctx.trace->casts) {
+    const auto& casts = ctx.trace->casts;
+    for (size_t i = 0; i < casts.size(); ++i) {
+      const CastEvent& c = casts[i];
       if (c.when <= lastRecovery) continue;  // pre-recovery: no obligation
-      if (!isAddressee(ctx, p, c.msg)) continue;
+      const uint32_t s = ix.castSlot[i];
+      if (!ix.isAddressee(p, s)) continue;
       // Only messages the correct addressees all delivered: the protocol
       // demonstrably completed them, so the recovered process — alive the
       // whole time — must have delivered too.
-      bool settled = true;
-      for (ProcessId q : ctx.correct) {
-        if (!isAddressee(ctx, q, c.msg)) continue;
-        if (!deliveredBy[q].count(c.msg)) {
-          settled = false;
-          break;
-        }
-      }
-      if (!settled) continue;
-      if (!deliveredBy[p].count(c.msg))
+      if (settledAtCorrect(ctx, ix, s) && !ix.hasDelivered(p, s))
         out.push_back("recovery: " + pname(p) + " (recovered at t=" +
                       std::to_string(lastRecovery) + "us) never delivered " +
                       mname(c.msg) + " cast at t=" + std::to_string(c.when) +
@@ -169,17 +251,15 @@ Violations checkRecoveredDelivery(const CheckContext& ctx) {
   return out;
 }
 
-Violations checkValidity(const CheckContext& ctx) {
+Violations validity(const CheckContext& ctx, const TraceIndex& ix) {
   Violations out;
-  std::map<ProcessId, std::set<MsgId>> deliveredBy;
-  for (const auto& d : ctx.trace->deliveries)
-    deliveredBy[d.process].insert(d.msg);
-
-  for (const auto& c : ctx.trace->casts) {
+  const auto& casts = ctx.trace->casts;
+  for (size_t i = 0; i < casts.size(); ++i) {
+    const CastEvent& c = casts[i];
     if (!ctx.correct.count(c.process)) continue;  // only correct senders
+    const uint32_t s = ix.castSlot[i];
     for (ProcessId q : ctx.correct) {
-      if (!isAddressee(ctx, q, c.msg)) continue;
-      if (!deliveredBy[q].count(c.msg))
+      if (ix.isAddressee(q, s) && !ix.hasDelivered(q, s))
         out.push_back("validity: correct " + pname(q) + " never delivered " +
                       mname(c.msg) + " cast by correct " + pname(c.process));
     }
@@ -187,43 +267,30 @@ Violations checkValidity(const CheckContext& ctx) {
   return out;
 }
 
-namespace {
-
-Violations agreementImpl(const CheckContext& ctx, bool uniform) {
+// Walks the slots in id order; a slot binds the correct addressees once
+// anyone (uniform) or any correct process delivered it.
+Violations agreement(const CheckContext& ctx, const TraceIndex& ix,
+                     bool uniform) {
   Violations out;
-  std::map<ProcessId, std::set<MsgId>> deliveredBy;
-  std::set<MsgId> deliveredByAnyone;
-  std::set<MsgId> deliveredByCorrect;
-  for (const auto& d : ctx.trace->deliveries) {
-    deliveredBy[d.process].insert(d.msg);
-    deliveredByAnyone.insert(d.msg);
-    if (ctx.correct.count(d.process)) deliveredByCorrect.insert(d.msg);
-  }
-  const auto& trigger = uniform ? deliveredByAnyone : deliveredByCorrect;
-  for (MsgId m : trigger) {
+  const std::vector<ProcessId> triggers =
+      uniform ? ctx.topo->allProcesses()
+              : std::vector<ProcessId>(ctx.correct.begin(), ctx.correct.end());
+  for (uint32_t s = 0; s < ix.ids.size(); ++s) {
+    if (std::none_of(triggers.begin(), triggers.end(),
+                     [&](ProcessId p) { return ix.hasDelivered(p, s); }))
+      continue;
     for (ProcessId q : ctx.correct) {
-      if (!isAddressee(ctx, q, m)) continue;
-      if (!deliveredBy[q].count(m))
+      if (ix.isAddressee(q, s) && !ix.hasDelivered(q, s))
         out.push_back(std::string(uniform ? "uniform " : "") +
                       "agreement: correct " + pname(q) +
-                      " never delivered " + mname(m) +
+                      " never delivered " + mname(ix.ids[s]) +
                       " although it was delivered elsewhere");
     }
   }
   return out;
 }
 
-}  // namespace
-
-Violations checkUniformAgreement(const CheckContext& ctx) {
-  return agreementImpl(ctx, /*uniform=*/true);
-}
-
-Violations checkAgreementCorrectOnly(const CheckContext& ctx) {
-  return agreementImpl(ctx, /*uniform=*/false);
-}
-
-Violations checkUniformPrefixOrder(const CheckContext& ctx) {
+Violations uniformPrefixOrder(const CheckContext& ctx, const TraceIndex& ix) {
   // Recovered processes are skipped: an amnesiac rejoin restarts its
   // sequence mid-run, so no prefix comparison across the gap is sound
   // (see recoveredProcesses). Their deliveries still bind under uniform
@@ -232,11 +299,44 @@ Violations checkUniformPrefixOrder(const CheckContext& ctx) {
   std::set<ProcessId> all;
   for (ProcessId p : ctx.topo->allProcesses())
     if (!recovered.count(p)) all.insert(p);
-  return prefixOrderOver(ctx, all);
+  return prefixOrderOver(ix, all);
+}
+
+}  // namespace
+
+std::set<ProcessId> recoveredProcesses(const CheckContext& ctx) {
+  std::set<ProcessId> out;
+  for (const auto& r : ctx.trace->recoveries) out.insert(r.process);
+  return out;
+}
+
+Violations checkUniformIntegrity(const CheckContext& ctx) {
+  return integrity(ctx, TraceIndex(ctx));
+}
+
+Violations checkRecoveredDelivery(const CheckContext& ctx) {
+  if (ctx.trace->recoveries.empty()) return {};
+  return recoveredDelivery(ctx, TraceIndex(ctx));
+}
+
+Violations checkValidity(const CheckContext& ctx) {
+  return validity(ctx, TraceIndex(ctx));
+}
+
+Violations checkUniformAgreement(const CheckContext& ctx) {
+  return agreement(ctx, TraceIndex(ctx), /*uniform=*/true);
+}
+
+Violations checkAgreementCorrectOnly(const CheckContext& ctx) {
+  return agreement(ctx, TraceIndex(ctx), /*uniform=*/false);
+}
+
+Violations checkUniformPrefixOrder(const CheckContext& ctx) {
+  return uniformPrefixOrder(ctx, TraceIndex(ctx));
 }
 
 Violations checkPrefixOrderCorrectOnly(const CheckContext& ctx) {
-  return prefixOrderOver(ctx, ctx.correct);
+  return prefixOrderOver(TraceIndex(ctx), ctx.correct);
 }
 
 Violations checkGenuineness(const CheckContext& ctx,
@@ -280,15 +380,16 @@ Violations checkQuiescence(const CheckContext& ctx, SimTime lastAlgoSend,
   return out;
 }
 
+// One index, four linear checks.
 Violations checkAtomicSuite(const CheckContext& ctx) {
-  Violations out;
+  const TraceIndex ix(ctx);
+  Violations out = integrity(ctx, ix);
   auto append = [&out](Violations v) {
     out.insert(out.end(), v.begin(), v.end());
   };
-  append(checkUniformIntegrity(ctx));
-  append(checkValidity(ctx));
-  append(checkUniformAgreement(ctx));
-  append(checkUniformPrefixOrder(ctx));
+  append(validity(ctx, ix));
+  append(agreement(ctx, ix, /*uniform=*/true));
+  append(uniformPrefixOrder(ctx, ix));
   return out;
 }
 

@@ -4,6 +4,7 @@
 
 #include "common/rng.hpp"
 #include "sim/runtime.hpp"
+#include "testing/scenario.hpp"
 
 namespace wanmc {
 namespace {
@@ -346,6 +347,35 @@ TEST(Trace, LatencyDegreeComputation) {
   EXPECT_EQ(*t.latencyDegree(1), 2);  // max(7, 6) - 5
   EXPECT_FALSE(t.latencyDegree(99).has_value());
   EXPECT_EQ(*t.minLatencyDegree(), 2);
+}
+
+TEST(Trace, AllLatencyDegreesMatchPerIdDegree) {
+  // The one-pass degrees are latencyDegree(c.msg) for each delivered cast
+  // c, in cast order: on every A1 standard-matrix cell (crash cells leave
+  // casts undelivered) and on a repeated id, where castOf's first cast
+  // sets the baseline for both entries.
+  auto perId = [](const RunTrace& t) {
+    std::vector<int64_t> out;
+    for (const auto& c : t.casts)
+      if (auto d = t.latencyDegree(c.msg)) out.push_back(*d);
+    return out;
+  };
+  size_t cells = 0;
+  for (const auto& res : testing::runStandardMatrix(core::ProtocolKind::kA1)) {
+    EXPECT_EQ(res.run.trace.allLatencyDegrees(), perId(res.run.trace))
+        << res.name;
+    ++cells;
+  }
+  EXPECT_GT(cells, 10u);
+
+  RunTrace t;
+  t.casts.push_back(CastEvent{0, 4, GroupSet::of({0}), 3, 0});
+  t.casts.push_back(CastEvent{1, 5, GroupSet::of({0}), 1, 0});
+  t.casts.push_back(CastEvent{1, 4, GroupSet::of({0}), 9, 0});
+  t.deliveries.push_back(DeliveryEvent{0, 4, 8, 10, 0});
+  t.deliveries.push_back(DeliveryEvent{1, 4, 6, 12, 0});
+  EXPECT_EQ(t.allLatencyDegrees(), perId(t));
+  EXPECT_EQ(t.allLatencyDegrees(), (std::vector<int64_t>{5, 5}));
 }
 
 }  // namespace
