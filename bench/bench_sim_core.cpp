@@ -2,17 +2,17 @@
 //
 // Measures the simulation core itself — scheduler throughput, multicast
 // fan-out/delivery machinery, the DetMerge00 heartbeat storm, the
-// open-loop workload storm (streaming metrics recorder on, as in every sim
-// run), the same storm with the reliable channel substrate off AND on (the
-// per-event throughput ratio is the channel-overhead figure), the storm
-// with the bootstrap plane armed but idle (the fault-free cost of keeping
-// every process rejoin-capable), the batch-size ladder (batching off / max
-// 8 / max 64 — the batch64/batch0 goodput ratio is the amortization
-// headline), and the 100-seed sweep wall-clock (serial and thread-pool;
-// the thread-pool leg is marked skipped on a single-core box) — and emits
-// a machine-readable JSON report (BENCH_PR10.json is the checked-in
-// baseline). Allocation counts come from a global operator new hook, so
-// every figure carries an allocs-per-event column.
+// open-loop workload storm, the same storm with the reliable channel
+// substrate off AND on (the per-event throughput ratio is the
+// channel-overhead figure), the storm with the bootstrap plane armed but
+// idle (the fault-free cost of keeping every process rejoin-capable), the
+// batch-size ladder (max 8 / max 64 — the batch64 goodput over the plain
+// storm's is the amortization headline), and the 100-seed sweep
+// wall-clock (serial and thread-pool; the thread-pool leg is marked
+// skipped on a single-core box) — and emits a machine-readable JSON
+// report (BENCH_PR10.json is the checked-in baseline). Allocation counts
+// come from a global operator new hook, so every figure carries an
+// allocs-per-event column.
 //
 //   bench_sim_core [--quick] [--jobs N] [--out FILE] [--check BASELINE]
 //
@@ -331,8 +331,8 @@ Result benchHeartbeatStorm(int repeats) {
 // arrivals far denser than the delivery latency — the reactive generator
 // keeps exactly one pending arrival while hundreds of multicasts overlap.
 // Measures end-to-end simulator events/sec (scheduler + network + protocol
-// + workload generation + the streaming metrics recorder) under sustained
-// overload.
+// + workload generation) under sustained overload. Its goodput is the
+// batch ladder's unbatched reference.
 uint64_t runOpenLoopStorm(int casts, wanmc::SimTime batchWindow = 0,
                           int batchMax = 0, bool channels = false,
                           bool bootstrap = false) {
@@ -360,10 +360,12 @@ Result benchOpenLoopStorm(int casts, int repeats) {
   uint64_t fired = 0;
   const auto samples =
       measure([&] { fired = runOpenLoopStorm(casts); }, repeats);
-  return rateResult("open_loop_storm",
-                    "A1 3x3 WAN, Poisson arrivals mean 3ms, " +
-                        std::to_string(casts) + " casts",
-                    samples, static_cast<double>(fired));
+  Result r = rateResult("open_loop_storm",
+                        "A1 3x3 WAN, Poisson arrivals mean 3ms, " +
+                            std::to_string(casts) + " casts",
+                        samples, static_cast<double>(fired));
+  r.goodputPerSec = static_cast<double>(casts) / bestOf(samples).secs;
+  return r;
 }
 
 // Off/on overhead figure from INTERLEAVED repeats (off, on, off, on, ...):
@@ -474,32 +476,28 @@ Result benchBootstrapOverheadPair(int casts, int repeats,
 // 7. Batch ladder (PR 6): the identical open-loop storm under the batching
 // plane at rising batch sizes. Batching amortizes the per-cast ordering
 // cost (one protocol instance per carrier instead of per cast), so the
-// wall-clock per completed cast — goodput_per_sec — is the figure: the
-// batch64/batch0 ratio is the headline amortization ceiling recorded in
-// the baseline JSON.
+// wall-clock per completed cast — goodput_per_sec — is the figure: batch64
+// goodput over `unbatchedGoodput` (the open_loop_storm row, which runs
+// the same storm with batching off) is the headline amortization ceiling
+// recorded in the baseline JSON.
 std::vector<Result> benchBatchLadder(int casts, int repeats,
+                                     double unbatchedGoodput,
                                      double* x64RatioOut) {
   const wanmc::SimTime kWindow = 2 * wanmc::kSec;
   std::vector<Result> out;
-  double unbatched = 0;
-  for (const int size : {0, 8, 64}) {
+  for (const int size : {8, 64}) {
     uint64_t fired = 0;
     const auto samples = measure(
-        [&] {
-          fired = runOpenLoopStorm(casts, size == 0 ? 0 : kWindow, size);
-        },
-        repeats);
-    Result r = rateResult(
-        "open_loop_storm_batch" + std::to_string(size),
-        "A1 3x3 WAN, Poisson mean 3ms, " + std::to_string(casts) +
-            (size == 0 ? " casts, batching off"
-                       : " casts, batch window 2s, max " +
-                             std::to_string(size)),
-        samples, static_cast<double>(fired));
+        [&] { fired = runOpenLoopStorm(casts, kWindow, size); }, repeats);
+    Result r = rateResult("open_loop_storm_batch" + std::to_string(size),
+                          "A1 3x3 WAN, Poisson mean 3ms, " +
+                              std::to_string(casts) +
+                              " casts, batch window 2s, max " +
+                              std::to_string(size),
+                          samples, static_cast<double>(fired));
     r.goodputPerSec = static_cast<double>(casts) / bestOf(samples).secs;
-    if (size == 0) unbatched = r.goodputPerSec;
-    if (size == 64 && unbatched > 0)
-      *x64RatioOut = r.goodputPerSec / unbatched;
+    if (size == 64 && unbatchedGoodput > 0)
+      *x64RatioOut = r.goodputPerSec / unbatchedGoodput;
     out.push_back(std::move(r));
   }
   return out;
@@ -702,20 +700,22 @@ int main(int argc, char** argv) {
   results.push_back(benchSchedulerScatter(chainEvents, repeats));
   results.push_back(benchMulticastStorm(stormRounds, repeats));
   results.push_back(benchHeartbeatStorm(quick ? 3 : 5));
-  results.push_back(benchOpenLoopStorm(quick ? 400 : 2000, repeats));
+  const int stormCasts = quick ? 400 : 2000;
+  results.push_back(benchOpenLoopStorm(stormCasts, repeats));
+  const double unbatchedGoodput = results.back().goodputPerSec;
   // The overhead pairs always get >= 5 interleaved repeats: their ratios
   // feed 5-10% gates, much tighter than the 20% rate gate, so they need
   // more chances at a clean window even on the quick budget. Channel
   // substrate first (10% gate).
   OverheadPair channelOverhead;
   results.push_back(benchChannelOverheadPair(
-      quick ? 400 : 2000, std::max(repeats, 5), &channelOverhead));
+      stormCasts, std::max(repeats, 5), &channelOverhead));
   // And for the bootstrap plane, armed but idle (5% gate).
   OverheadPair bootstrapOverhead;
   results.push_back(benchBootstrapOverheadPair(
-      quick ? 400 : 2000, std::max(repeats, 5), &bootstrapOverhead));
+      stormCasts, std::max(repeats, 5), &bootstrapOverhead));
   double batchGoodputX64 = 0;
-  for (auto& r : benchBatchLadder(quick ? 400 : 2000, repeats,
+  for (auto& r : benchBatchLadder(stormCasts, repeats, unbatchedGoodput,
                                   &batchGoodputX64))
     results.push_back(std::move(r));
   for (auto& r : benchDetMergeSweep(sweepSeeds, jobs, quick ? 1 : 3))

@@ -74,8 +74,8 @@ RowResult runProtocol(core::ProtocolKind kind, int groups, int procs,
         verify::checkGenuineness(pr.checkContext(), pr.genuineness).empty();
   }
   out.inter = r.traffic.interAlgorithmic();
-  // All the latency aggregates come straight off the streaming summary —
-  // no per-message trace rescans (PR 4).
+  // All the latency aggregates come straight off the run's Summary, built
+  // once at harvest.
   const metrics::Summary& m = r.metrics;
   if (!m.latencyDegrees.empty()) {
     out.minDeg = m.latencyDegrees.begin()->first;

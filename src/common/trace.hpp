@@ -75,7 +75,7 @@ struct WireEvent {
 struct RunTrace {
   std::vector<CastEvent> casts;
   std::vector<DeliveryEvent> deliveries;
-  std::vector<WireEvent> wire;  // populated when Network::recordWire is on
+  std::vector<WireEvent> wire;  // populated under Runtime::setRecordWire
   // Fault-plane events (always recorded; empty in fault-free runs).
   std::vector<CrashEvent> crashes;
   std::vector<RecoveryEvent> recoveries;
@@ -170,9 +170,8 @@ struct RunTrace {
   }
 };
 
-// Fault-plane counters: one block of the metrics Summary. Derived from the
-// RunTrace (see faultStatsOf) so the streaming recorder and the offline
-// summarizeTrace fallback stay field-for-field identical.
+// Fault-plane counters: one block of the metrics Summary, derived from the
+// RunTrace's fault events by faultStatsOf (called by summarizeTrace).
 struct FaultStats {
   uint64_t crashes = 0;
   uint64_t recoveries = 0;
@@ -196,7 +195,7 @@ struct FaultStats {
 
 // Reliable-channel substrate counters (src/channel/). Maintained by the
 // channel plane itself, not derivable from the RunTrace: like lastAlgoSend,
-// they are injected identically into both Summary constructions at harvest.
+// they come from the runtime and are injected into the Summary at harvest.
 // All-zero when channels are off.
 struct ChannelStats {
   uint64_t dataSent = 0;           // first transmissions of protocol packets
@@ -211,8 +210,8 @@ struct ChannelStats {
 };
 
 // Bootstrap-plane counters (src/bootstrap/). Like ChannelStats: maintained
-// by the bootstrap plane itself and injected into both Summary constructions
-// at harvest. All-zero when the plane is unarmed.
+// by the bootstrap plane itself and injected into the Summary at harvest.
+// All-zero when the plane is unarmed.
 struct BootstrapStats {
   uint64_t snapshotsRequested = 0;  // kRequest packets sent by rejoiners
   uint64_t snapshotsServed = 0;     // kOffer packets sent by live peers

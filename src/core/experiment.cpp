@@ -15,7 +15,6 @@
 #include "common/batch.hpp"
 #include "core/batcher.hpp"
 #include "exec/threaded/threaded_runtime.hpp"
-#include "metrics/recorder.hpp"
 #include "workload/generator.hpp"
 
 namespace wanmc::core {
@@ -114,7 +113,6 @@ void Experiment::validateBackend() const {
   if (cfg_.stack.reliableChannels) reject("stack.reliableChannels");
   if (cfg_.stack.bootstrap.armed) reject("stack.bootstrap.armed");
   if (cfg_.lossRate != 0) reject("lossRate");
-  if (cfg_.recordWire) reject("recordWire");
   if (cfg_.workload && cfg_.workload->model == workload::Model::kClosedLoop &&
       cfg_.workload->inFlightCap > 0)
     reject("a capped closed-loop workload (delivery feedback)");
@@ -129,12 +127,6 @@ Experiment::Experiment(RunConfig cfg) : cfg_(cfg) {
   if (cfg_.backend == exec::Backend::kSim) {
     rt_ = std::make_unique<sim::Runtime>(topo, cfg_.latency, cfg_.seed);
     ctx_ = rt_.get();
-    rt_->setRecordWire(cfg_.recordWire);
-    // Registered before any node or workload so the measurement plane sees
-    // every event; the recorder is passive, so run behavior is unchanged.
-    // (Threaded runs have no observer registry: RunResult::metrics is
-    // reconstructed from the merged wall-clock trace at harvest.)
-    recorder_ = std::make_unique<metrics::Recorder>(*rt_);
   } else {
     threaded_ = std::make_unique<exec::ThreadedRuntime>(topo, cfg_.latency,
                                                         cfg_.seed);
@@ -436,18 +428,11 @@ RunResult Experiment::harvest() const {
   r.traffic = ctx.traffic();
   r.lastAlgoSend = ctx.lastAlgorithmicSend();
   r.endTime = ctx.now();
-  // One Summary construction per backend (see the constructor).
-  r.metrics = cfg_.backend == exec::Backend::kSim
-                  ? recorder_->summary(ctx.now())
-                  : metrics::summarizeTrace(ctx.trace(), ctx.topology(),
-                                            ctx.traffic(),
-                                            ctx.lastAlgorithmicSend(),
-                                            ctx.now());
-  // The recorder observes casts/deliveries/sends, not fault events; both
-  // constructions take the fault block straight from the trace. The channel
-  // block is likewise injected identically into both constructions: the
-  // plane's counters are not reconstructible from the trace.
-  r.metrics.faults = faultStatsOf(ctx.trace());
+  r.metrics = metrics::summarizeTrace(ctx.trace(), ctx.topology(),
+                                     ctx.traffic(), ctx.lastAlgorithmicSend(),
+                                     ctx.now());
+  // The channel and bootstrap planes keep counters the trace does not
+  // record; their blocks are injected here.
   if (channel_) r.metrics.channels = channel_->stats();
   if (bootstrap_) {
     r.metrics.bootstrap = bootstrap_->stats();

@@ -34,9 +34,6 @@ class Generator;
 namespace wanmc::exec {
 class ThreadedRuntime;
 }
-namespace wanmc::metrics {
-class Recorder;
-}
 namespace wanmc::core {
 class BatchPlane;
 }
@@ -84,7 +81,6 @@ struct RunConfig {
   // never perturbs the latency draws of surviving copies. Protocol
   // liveness under loss requires stack.reliableChannels.
   double lossRate = 0;
-  bool recordWire = false;
   // Installed at construction; generation starts once run() begins. More
   // workloads can be layered on with Experiment::addWorkload.
   std::optional<workload::Spec> workload{};
@@ -107,9 +103,9 @@ struct RunResult {
   // Processes that crashed and recovered at least once.
   std::set<ProcessId> recovered;
   verify::GenuinenessInput genuineness;
-  // Streaming measurement summary (latency percentiles, degree tallies,
-  // goodput — see metrics/summary.hpp). Built online by the recorder on the
-  // sim backend; reconstructed from the merged trace on the threaded one.
+  // Measurement summary (latency percentiles, degree tallies, goodput —
+  // see metrics/summary.hpp), built from the finished trace at harvest on
+  // both backends.
   metrics::Summary metrics;
   // Completed bootstrap rejoins (armed runs only), one per install, in
   // install order. firstDeliveryAfter is the recovered pid's first
@@ -242,9 +238,6 @@ class Experiment {
   }
 
   RunConfig cfg_;
-  // Declared before rt_ so the recorder (a registered observer) outlives
-  // the runtime; constructed right after rt_ in the ctor body.
-  std::unique_ptr<metrics::Recorder> recorder_;  // kSim only
   // Exactly one backend is constructed, per cfg_.backend; ctx_ aims at it.
   std::unique_ptr<sim::Runtime> rt_;                // kSim, else nullptr
   std::unique_ptr<exec::ThreadedRuntime> threaded_;  // kThreaded, else null

@@ -47,8 +47,8 @@ metrics::Summary ensureSummary(const RunResult& r) {
 
 void writeSummaryJson(const RunResult& r, std::ostream& os,
                       const verify::Violations* precomputed) {
-  // Everything below reads the streaming summary — no trace rescans. The
-  // trace is consulted only by the safety checkers.
+  // Everything below reads the run's Summary; the trace is consulted only
+  // by the safety checkers.
   const metrics::Summary m = ensureSummary(r);
   const metrics::LatencyStats wall = m.msgStats();
 

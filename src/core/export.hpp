@@ -2,10 +2,10 @@
 // percentiles, JSON for run summaries. Used by the CLI tool and handy for
 // plotting bench/sweep output.
 //
-// Redesigned around the streaming metrics plane (PR 4): writeSummaryJson
-// and writeLatencyCsv read RunResult::metrics (built online by
-// metrics::Recorder — no O(trace) rescan and no recordWire requirement);
-// the row-per-event CSVs still walk the trace, which is what they export.
+// writeSummaryJson and writeLatencyCsv read RunResult::metrics (the
+// Summary that harvest builds once from the trace, see
+// metrics/summary.hpp); the row-per-event CSVs walk the trace, which is
+// what they export.
 #pragma once
 
 #include <ostream>

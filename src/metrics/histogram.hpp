@@ -1,9 +1,9 @@
-// Log-bucketed latency histogram: the streaming metrics plane's workhorse.
+// Log-bucketed latency histogram: the metrics plane's workhorse.
 //
 // Values are binned HDR-style into log2 major buckets subdivided linearly
 // (kSubBits sub-buckets per octave, ~100/2^kSubBits % relative resolution).
-// add() is allocation-free and O(1) — a clz, a shift, an increment — so the
-// recorder can bin every delivery on the simulator hot path. Percentiles
+// add() is allocation-free and O(1) — a clz, a shift, an increment — so
+// summarizing a run bins every delivery cheaply. Percentiles
 // are reconstructed from bucket midpoints (upper-bounded by the exact
 // observed max), which makes them deterministic, merge-stable, and
 // independent of insertion order: two histograms with the same multiset of

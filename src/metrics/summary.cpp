@@ -96,8 +96,7 @@ Summary summarizeTrace(const RunTrace& trace, const Topology& topo,
   out.perGroup.resize(static_cast<size_t>(topo.numGroups()));
   out.perDestSize.resize(static_cast<size_t>(topo.numGroups()) + 1);
 
-  // Rebuild exactly the per-message state the streaming Recorder keeps;
-  // the two constructions are asserted field-identical in tests.
+  // Per-message state, folded into the message-level aggregates below.
   struct MsgStat {
     SimTime castAt = -1;
     SimTime lastDeliveryAt = -1;

@@ -1,12 +1,11 @@
-// metrics::Summary — the result of the streaming measurement plane.
+// metrics::Summary — the measurement of one finished run.
 //
 // A Summary is a value type: everything the export layer, the sweep driver,
 // and the regression tests need from a finished run, with no pointer back
-// into the trace. It is built online by metrics::Recorder (one observer
-// hooked into the sim runtime, src/metrics/recorder.hpp) or offline by
-// summarizeTrace() (the construction for threaded runs, which have no
-// observer registry, and the cross-check oracle in tests: both
-// constructions are field-for-field identical on the same run).
+// into the trace. There is one construction, summarizeTrace(), which reads
+// the run's trace; core::Experiment::harvest calls it on both backends.
+// Like the paper's latency degree Delta(m, R) (§2.3), every figure here is
+// a function of the finished run R.
 //
 // Percentile semantics: every histogram bins LATENCIES (microseconds of
 // simulated wall-clock between A-XCast(m) and an A-Deliver(m)) into the
@@ -76,21 +75,19 @@ struct Summary {
   // deliver stamp minus cast stamp), the paper's §2.3 metric. Exact.
   std::map<int64_t, uint64_t> latencyDegrees;
 
-  // Per-layer wire counters (identical accounting to Runtime's
-  // TrafficStats — maintained from the observer plane, no recordWire).
+  // Per-layer wire counters: the runtime's own TrafficStats, copied in
+  // (wire copies are counted as sent, not recorded in the trace).
   TrafficStats traffic;
 
   // Fault-plane counters (fault plane v2): crashes, recoveries, partition
   // cut/heal transitions, and wire copies dropped on cut links. Derived
-  // from the trace's fault events in BOTH constructions (faultStatsOf), so
-  // the streaming/offline equivalence holds field-for-field.
+  // from the trace's fault events (faultStatsOf).
   FaultStats faults;
 
   // Reliable-channel substrate counters (src/channel/): retransmits, ACKs,
   // duplicate/stale suppression, holdback overflow. Maintained by the
-  // channel plane and injected identically into both constructions at
-  // Experiment::harvest (like lastAlgoSendAt, they are not reconstructible
-  // from the trace). All-zero when channels are off.
+  // channel plane and injected at Experiment::harvest (they are not
+  // reconstructible from the trace). All-zero when channels are off.
   ChannelStats channels;
 
   // Bootstrap state-transfer counters (src/bootstrap/): snapshots served,
@@ -120,10 +117,10 @@ struct Summary {
   friend bool operator==(const Summary&, const Summary&) = default;
 };
 
-// O(trace) construction of the same Summary the streaming Recorder builds:
-// the threaded backend's construction, and the equivalence oracle in
-// tests. `lastAlgoSend` and `traffic` come from the runtime (they are
-// not reconstructible from an unrecorded wire).
+// The Summary of a finished run, in one pass over its casts and
+// deliveries. `lastAlgoSend` and `traffic` come from the runtime (they are
+// not reconstructible from an unrecorded wire); the channel and bootstrap
+// blocks are left zero for the caller to fill in.
 [[nodiscard]] Summary summarizeTrace(const RunTrace& trace,
                                      const Topology& topo,
                                      const TrafficStats& traffic,

@@ -355,7 +355,6 @@ void Runtime::recordCast(ProcessId pid, const AppMsgPtr& m) {
                                    sched_.now()});
   trace_.destOf[m->id] = m->dest;
   trace_.senderOf[m->id] = pid;
-  for (RunObserver* o : castObservers_) o->onCast(trace_.casts.back());
 }
 
 void Runtime::recordDelivery(ProcessId pid, MsgId msg) {

@@ -234,7 +234,7 @@ class Runtime final : public exec::Context {
 
   // ---- observer plane ------------------------------------------------------
   //
-  // Typed observers (sim/observer.hpp) see cast/delivery/send events
+  // Typed observers (sim/observer.hpp) see delivery/send events
   // synchronously, in registration order. Observers are passive: they never
   // draw from the runtime RNG, and anything they schedule goes through the
   // deterministic scheduler, so observation never perturbs reproducibility.
@@ -245,7 +245,6 @@ class Runtime final : public exec::Context {
   // runtime never invokes observers from its destructor, so an observer may
   // be destroyed before the runtime once the simulation is done.
   void addObserver(RunObserver* obs, uint32_t interests) {
-    if (interests & kObserveCasts) castObservers_.push_back(obs);
     if (interests & kObserveDeliveries) deliveryObservers_.push_back(obs);
     if (interests & kObserveSends) sendObservers_.push_back(obs);
   }
@@ -431,7 +430,6 @@ class Runtime final : public exec::Context {
   double lossP_ = 0;  // iid per-copy drop probability
   std::vector<OwnedListener> crashListeners_;
   std::vector<OwnedListener> recoveryListeners_;
-  std::vector<RunObserver*> castObservers_;
   std::vector<RunObserver*> deliveryObservers_;
   std::vector<RunObserver*> sendObservers_;
   RunTrace trace_;

@@ -5,8 +5,9 @@
 // those traces, and on synthetic traces that reach the rarely taken paths.
 //
 // The StreamingOrder suite keeps the prefix-order cases first written for
-// the observer-fed order checker that the trace checkers replaced, and the
-// streaming-metrics-vs-trace-rescan Summary equality over the matrix.
+// the observer-fed order checker that the trace checkers replaced, and
+// checks every matrix cell's Summary against the trace's per-id helpers
+// (tests/summary_oracle.hpp).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "summary_oracle.hpp"
 #include "testing/scenario.hpp"
 #include "verify_oracle.hpp"
 
@@ -269,17 +271,9 @@ TEST(StreamingOrder, MatchesTraceCheckersOnFullStandardMatrix) {
       EXPECT_EQ(verify::checkPrefixOrderCorrectOnly(ctx),
                 verify_oracle::checkPrefixOrderCorrectOnly(ctx))
           << res.name;
-      // And the metrics plane: streaming Summary == trace rescan. The
-      // channel-substrate and bootstrap blocks are maintained by their
-      // planes and injected at harvest — like lastAlgoSend they are not
-      // reconstructible from the trace, so the rescan oracle takes them
-      // verbatim.
-      metrics::Summary rescan = metrics::summarizeTrace(
-          res.run.trace, res.run.topo, res.run.traffic,
-          res.run.lastAlgoSend, res.run.endTime);
-      rescan.channels = res.run.metrics.channels;
-      rescan.bootstrap = res.run.metrics.bootstrap;
-      EXPECT_EQ(res.run.metrics, rescan) << res.name;
+      // And the metrics plane: the harvested Summary against the trace's
+      // per-id latency helpers.
+      summary_oracle::expectMatchesTrace(res.run, res.name);
     }
   }
 }

@@ -269,13 +269,9 @@ TEST(Recovery, RunResultSplitsCorrectAndRecovered) {
   EXPECT_EQ(r.correct.count(1), 0u);   // recovered != correct
   EXPECT_EQ(r.recovered.count(1), 1u);
   EXPECT_EQ(r.correct.size(), 3u);
-  // The fault block is identical in both summary constructions.
+  // The Summary's fault block counts the crash and the recovery.
   EXPECT_EQ(r.metrics.faults.crashes, 1u);
   EXPECT_EQ(r.metrics.faults.recoveries, 1u);
-  EXPECT_EQ(r.metrics.faults,
-            metrics::summarizeTrace(r.trace, r.topo, r.traffic,
-                                    r.lastAlgoSend, r.endTime)
-                .faults);
   // The recovered process delivers the post-recovery message (A1 rejoins).
   EXPECT_TRUE(verify::checkRecoveredDelivery(r.checkContext()).empty());
 }

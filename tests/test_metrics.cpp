@@ -1,18 +1,20 @@
-// Tests for the streaming metrics plane (PR 4): LogHistogram binning and
-// percentile semantics, Recorder-vs-trace Summary equivalence, determinism
-// of summaries across the sweep thread pool, the latency-throughput sweep
-// driver, and the LatencyModel construction guards.
+// Tests for the metrics plane: LogHistogram binning and percentile
+// semantics, the harvested Summary against the trace's per-id helpers,
+// determinism of summaries across the sweep thread pool, the
+// latency-throughput sweep driver, and the LatencyModel construction
+// guards.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "core/experiment.hpp"
 #include "core/export.hpp"
-#include "metrics/recorder.hpp"
 #include "sim/runtime.hpp"
 #include "metrics/summary.hpp"
 #include "metrics/sweep.hpp"
+#include "summary_oracle.hpp"
 #include "testing/scenario.hpp"
 
 namespace wanmc {
@@ -77,7 +79,7 @@ TEST(LogHistogram, PercentileIsMonotoneInQ) {
 }
 
 // ---------------------------------------------------------------------------
-// Recorder vs trace-based Summary: identical constructions.
+// The harvested Summary against the trace's per-id helpers.
 // ---------------------------------------------------------------------------
 
 core::RunResult runOne(ProtocolKind kind, uint64_t seed, bool crash) {
@@ -93,16 +95,15 @@ core::RunResult runOne(ProtocolKind kind, uint64_t seed, bool crash) {
   return ex.run(600 * kSec);
 }
 
-TEST(MetricsEquivalence, StreamingMatchesTraceRescan) {
+TEST(MetricsSummary, MatchesTracePerIdHelpers) {
   for (ProtocolKind kind :
        {ProtocolKind::kA1, ProtocolKind::kA2, ProtocolKind::kRodrigues98}) {
     for (bool crash : {false, true}) {
       if (crash && kind == ProtocolKind::kA2) continue;  // keep it quick
-      auto r = runOne(kind, 5, crash);
-      const Summary rebuilt = metrics::summarizeTrace(
-          r.trace, r.topo, r.traffic, r.lastAlgoSend, r.endTime);
-      EXPECT_EQ(r.metrics, rebuilt)
-          << core::protocolName(kind) << " crash=" << crash;
+      const auto r = runOne(kind, 5, crash);
+      summary_oracle::expectMatchesTrace(
+          r, std::string(core::protocolName(kind)) +
+                 (crash ? " crash" : " no crash"));
     }
   }
 }
@@ -123,7 +124,7 @@ TEST(MetricsSummary, CountersAndBreakdownsAreCoherent) {
   uint64_t perDestTotal = 0;
   for (const auto& h : m.perDestSize) perDestTotal += h.count();
   EXPECT_EQ(perDestTotal, m.deliveries);
-  // Traffic seen by the observer plane == the runtime's own accounting.
+  // The Summary carries the runtime's own traffic accounting.
   EXPECT_EQ(m.traffic, r.traffic);
   EXPECT_EQ(m.lastAlgoSendAt, r.lastAlgoSend);
   EXPECT_GT(m.offeredPerSec(), 0.0);
