@@ -1,25 +1,31 @@
 #include "channel/channel.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <sstream>
 
+#include "common/arena.hpp"
 #include "common/hot.hpp"
 
 namespace wanmc::channel {
 
 std::string DataPacket::debugString() const {
   std::ostringstream os;
-  os << "chan-data{seq=" << seq << " inc=" << senderInc << " ep=" << epoch
+  os << "chan-data{seq=" << seq << " inc=" << senderInc << "->" << receiverInc
      << " " << inner->debugString() << "}";
   return os.str();
 }
 
 std::string AckPacket::debugString() const {
   std::ostringstream os;
-  os << "chan-ack{cum=" << cumAck;
-  if (nackTo > nackFrom) os << " nack=[" << nackFrom << "," << nackTo << ")";
-  os << " inc=" << receiverInc << " ep=" << epoch << "}";
+  os << "chan-ack{cum=" << cumAck << " sacked=";
+  int sacked = 0;
+  for (uint64_t w : sack) sacked += std::popcount(w);
+  os << sacked;
+  for (uint32_t i = 0; i < nackRuns; ++i)
+    os << " nack=[" << nack[i].from << "," << nack[i].to << ")";
+  os << " inc=" << senderInc << "->" << receiverInc << "}";
   return os.str();
 }
 
@@ -30,84 +36,166 @@ Plane::Plane(exec::Context& rt, Config cfg)
   // slack for the receiver's turnaround. Deterministic in the model.
   const SimTime oneWay = std::max(lm.interMax, lm.intraMax);
   rto_ = cfg_.rto > 0 ? cfg_.rto : 2 * oneWay + 2 * lm.intraMax + 1 * kMs;
+  intra_ = {lm.intraMax - lm.intraMin + 1, 2 * lm.intraMin};
+  inter_ = {lm.interMax - lm.interMin + 1, 2 * lm.interMin};
   out_.resize(static_cast<size_t>(n_) * static_cast<size_t>(n_));
   in_.resize(static_cast<size_t>(n_) * static_cast<size_t>(n_));
 }
 
+// ---------------------------------------------------------------------------
+// Sender side.
+// ---------------------------------------------------------------------------
+
 WANMC_HOT void Plane::onSend(ProcessId from, const std::vector<ProcessId>& tos,
                              const PayloadPtr& payload, uint64_t sendTs) {
   const Layer layer = payload->layer();
+  const SimTime now = rt_.now();
   for (ProcessId to : tos) {
     OutLink& ol = out(from, to);
-    const uint64_t seq = ol.nextSeq++;
-    ol.window.push_back(Unacked{payload, layer, sendTs});
+    if (!ol.keyed) {
+      // First contact: key the space to the receiver's current incarnation
+      // (the backend's incarnation query stands in for a handshake).
+      ol.peerInc = rt_.incarnation(to);
+      ol.keyed = true;
+    }
+    const uint64_t seq = ol.base + ol.window.size();
+    ol.window.push_back(Unacked{payload, layer, false, sendTs, now});
     ++stats_.dataSent;
     transmit(from, to, ol, seq, ol.window.back());
-    armTimer(from, to, ol);
+    armRto(from, to, ol, now + (rto_ << ol.backoff));
   }
 }
 
-WANMC_HOT void Plane::transmit(ProcessId from, ProcessId to, const OutLink& ol,
-                               uint64_t seq, const Unacked& u) {
-  // wanmc-lint: allow(D5): one DataPacket envelope per wire copy; pooling
-  // it through the payload arena is the ROADMAP's channel follow-through
-  auto pkt = std::make_shared<DataPacket>();
+WANMC_HOT void Plane::transmit(ProcessId from, ProcessId to,
+                               const OutLink& ol, uint64_t seq, Unacked& u) {
+  // One envelope per wire copy, fused with its control block in one pooled
+  // block that is recycled once the copy has been handled.
+  auto pkt = std::allocate_shared<DataPacket>(
+      PoolAllocator<DataPacket>(&rt_.payloadArena()));
   pkt->inner = u.inner;
   pkt->innerLayer = u.innerLayer;
   pkt->seq = seq;
   pkt->sendTs = u.sendTs;
   pkt->senderInc = rt_.incarnation(from);
-  pkt->epoch = ol.epoch;
+  pkt->receiverInc = ol.peerInc;
+  u.lastSent = rt_.now();
   rt_.channelSend(from, to, std::move(pkt), u.innerLayer);
 }
 
-void Plane::armTimer(ProcessId from, ProcessId to, OutLink& ol) {
-  if (ol.timerArmed) return;
-  ol.timerArmed = true;
-  const uint64_t gen = ++ol.timerGen;
-  const SimTime delay =
-      rto_ << std::min(ol.backoff, cfg_.maxBackoffExp);
+void Plane::armRto(ProcessId from, ProcessId to, OutLink& ol, SimTime at) {
+  // Lazy: one timer per link, at the oldest deadline when armed. Progress
+  // never re-arms it; onRto re-arms to whatever deadline is then oldest.
+  if (ol.timer != exec::kNoEvent) return;
   // Runtime::timer is incarnation-guarded: if `from` crashes (or crashes
   // and recovers) before this fires, the dead incarnation's timer is
-  // suppressed; the generation check voids timers the plane disarmed.
-  rt_.timer(from, delay, [this, from, to, gen]() { onRto(from, to, gen); });
+  // suppressed.
+  ol.timer = rt_.timer(from, at - rt_.now(),
+                       [this, from, to]() { onRto(from, to); });
 }
 
-void Plane::onRto(ProcessId from, ProcessId to, uint64_t gen) {
+void Plane::disarm(exec::EventId& timer) {
+  if (timer != exec::kNoEvent) rt_.cancelTimer(timer);
+  timer = exec::kNoEvent;
+}
+
+void Plane::onRto(ProcessId from, ProcessId to) {
   OutLink& ol = out(from, to);
-  if (!ol.timerArmed || gen != ol.timerGen) return;
-  ol.timerArmed = false;
-  if (ol.window.empty()) return;
-  // Go-back-N: re-offer the whole unacked window. Windows are small (one
-  // fan-out's worth per destination at steady state), and the cumulative
-  // ACK immediately re-trims whatever did get through.
+  ol.timer = exec::kNoEvent;
+  const SimTime now = rt_.now();
+  // Selective repeat: only un-SACKed packets at least one RTO old.
+  bool resent = false;
+  SimTime oldest = kTimeNever;
   uint64_t seq = ol.base;
-  for (const Unacked& u : ol.window) {
-    ++stats_.retransmits;
-    transmit(from, to, ol, seq++, u);
+  for (Unacked& u : ol.window) {
+    if (!u.sacked) {
+      if (now - u.lastSent >= rto_ << ol.backoff) {
+        ++stats_.retransmits;
+        transmit(from, to, ol, seq, u);
+        resent = true;
+      }
+      oldest = std::min(oldest, u.lastSent);
+    }
+    ++seq;
   }
-  ol.backoff = std::min(ol.backoff + 1, cfg_.maxBackoffExp);
-  armTimer(from, to, ol);
+  if (resent) ol.backoff = std::min(ol.backoff + 1, cfg_.maxBackoffExp);
+  if (oldest != kTimeNever)
+    armRto(from, to, ol, oldest + (rto_ << ol.backoff));
 }
 
-void Plane::rekey(ProcessId from, ProcessId to, OutLink& ol) {
-  // The peer reincarnated: everything it ever acked died with it. Open a
-  // fresh epoch whose sequence space starts at 0 and re-offer the unacked
-  // backlog as its prefix; in-flight packets and ACKs of older epochs are
-  // dropped as stale on arrival.
-  ++ol.epoch;
+void Plane::rekey(ProcessId from, ProcessId to, OutLink& ol,
+                  uint32_t peerInc) {
+  // The peer reincarnated: everything it ever acked died with it, and it
+  // drops whatever is still addressed to its dead incarnation. Key a fresh
+  // sequence space from 0 to the new incarnation and re-offer the backlog
+  // the dead one never delivered as its prefix.
+  ol.peerInc = peerInc;
+  ol.keyed = true;
   ol.base = 0;
-  ol.nextSeq = ol.window.size();
   ol.backoff = 0;
-  ol.timerArmed = false;
-  ++ol.timerGen;
+  disarm(ol.timer);
+  std::erase_if(ol.window, [](const Unacked& u) { return u.sacked; });
   uint64_t seq = 0;
-  for (const Unacked& u : ol.window) {
+  for (Unacked& u : ol.window) {
     ++stats_.retransmits;
     transmit(from, to, ol, seq++, u);
   }
-  if (!ol.window.empty()) armTimer(from, to, ol);
+  if (!ol.window.empty()) armRto(from, to, ol, rt_.now() + rto_);
 }
+
+WANMC_HOT void Plane::handleAck(ProcessId acker, ProcessId self,
+                                const AckPacket& a) {
+  if (a.receiverInc != rt_.incarnation(acker) ||
+      a.senderInc != rt_.incarnation(self)) {
+    ++stats_.staleDropped;  // from the acker's, or to our, dead incarnation
+    return;
+  }
+  OutLink& ol = out(self, acker);
+  if (a.receiverInc != ol.peerInc) {
+    // The receiver reincarnated since the space was keyed: this ACK's
+    // cumAck/SACK describe the fresh incarnation, not our backlog.
+    rekey(self, acker, ol, a.receiverInc);
+    return;
+  }
+  bool progress = false;
+  const uint64_t end = ol.base + ol.window.size();
+  const uint64_t sackBase = a.sackBase();
+  for (size_t w = 0; w < kSackWords; ++w) {
+    for (uint64_t bits = a.sack[w]; bits != 0; bits &= bits - 1) {
+      const uint64_t s =
+          sackBase + 64 * w + static_cast<uint64_t>(std::countr_zero(bits));
+      if (s < ol.base || s >= end) continue;
+      Unacked& u = ol.window[s - ol.base];
+      progress |= !u.sacked;
+      u.sacked = true;
+    }
+  }
+  while (!ol.window.empty() &&
+         (ol.base < a.cumAck || ol.window.front().sacked)) {
+    ol.window.pop_front();
+    ++ol.base;
+    progress = true;
+  }
+  if (progress) ol.backoff = 0;  // the link is alive again
+  if (ol.window.empty()) disarm(ol.timer);
+  const SimTime now = rt_.now();
+  const SimTime minRtt = linkClass(self, acker).minRtt;
+  for (uint32_t i = 0; i < a.nackRuns; ++i) {
+    const uint64_t lo = std::max(a.nack[i].from, ol.base);
+    const uint64_t hi = std::min(a.nack[i].to, ol.base + ol.window.size());
+    for (uint64_t s = lo; s < hi; ++s) {
+      Unacked& u = ol.window[s - ol.base];
+      // A copy sent less than a minimum round trip ago cannot have been
+      // missed yet when the NACK left: the RTO already re-sent it.
+      if (u.sacked || now - u.lastSent < minRtt) continue;
+      ++stats_.retransmits;
+      transmit(self, acker, ol, s, u);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Receiver side.
+// ---------------------------------------------------------------------------
 
 void Plane::onWireArrive(ProcessId from, ProcessId to,
                          const PayloadPtr& payload) {
@@ -116,6 +204,19 @@ void Plane::onWireArrive(ProcessId from, ProcessId to,
   } else if (const auto* a = dynamic_cast<const AckPacket*>(payload.get())) {
     handleAck(from, to, *a);
   }
+}
+
+void Plane::adopt(InLink& il, uint32_t senderInc) {
+  disarm(il.nackTimer);
+  // Both rings span the receive window [nextExpected, +holdbackCap]: that
+  // touches at most holdbackCap/64 + 2 distinct 64-seq words.
+  const size_t words = cfg_.holdbackCap / 64 + 2;
+  il.seen.assign(words, 0);
+  il.nackAt.assign(64 * words, 0);
+  il.nextExpected = 0;
+  il.frontier = 0;
+  il.peerInc = senderInc;
+  il.known = true;
 }
 
 WANMC_HOT void Plane::handleData(ProcessId sender, ProcessId self,
@@ -127,138 +228,130 @@ WANMC_HOT void Plane::handleData(ProcessId sender, ProcessId self,
     ++stats_.staleDropped;
     return;
   }
-  InLink& il = in(self, sender);
-  if (!il.known || d.senderInc != il.peerInc) {
-    // First contact, or the sender reincarnated: adopt its fresh space.
-    il = InLink{};
-    il.known = true;
-    il.peerInc = d.senderInc;
-    il.epoch = d.epoch;
-  } else if (d.epoch != il.epoch) {
-    if (d.epoch > il.epoch) {
-      // The sender re-keyed (it saw OUR fresh incarnation): the new epoch's
-      // prefix supersedes anything held from the old one.
-      il.holdback.clear();
-      il.nextExpected = 0;
-      il.nackCeiling = 0;
-      il.epoch = d.epoch;
-    } else {
-      ++stats_.staleDropped;
-      sendAck(self, sender, il, 0, 0);  // re-sync the sender to our epoch
-      return;
-    }
+  if (d.receiverInc != rt_.incarnation(self)) {
+    // Addressed to our dead incarnation, whose space the sender is still
+    // keyed to: never deliver it. The ACK names our live incarnation, which
+    // makes the sender re-key and re-offer the backlog exactly once.
+    ++stats_.staleDropped;
+    sendAck(self, sender, d.senderInc, nullptr);
+    return;
   }
+  InLink& il = in(self, sender);
+  // First contact, or the sender reincarnated: adopt its fresh space.
+  if (!il.known || d.senderInc != il.peerInc) adopt(il, d.senderInc);
 
-  if (d.seq < il.nextExpected) {
+  const uint64_t s = d.seq;
+  if (s < il.nextExpected) {
     // Already delivered (the ACK must have been lost): suppress, re-ack.
     ++stats_.duplicatesDropped;
-    sendAck(self, sender, il, 0, 0);
+    sendAck(self, sender, d.senderInc, &il);
     return;
   }
-  if (d.seq == il.nextExpected) {
-    rt_.deliverFromChannel(sender, self, d.inner, d.sendTs);
-    ++stats_.delivered;
-    ++il.nextExpected;
-    for (auto it = il.holdback.begin();
-         it != il.holdback.end() && it->first == il.nextExpected;
-         it = il.holdback.erase(it)) {
-      rt_.deliverFromChannel(sender, self, it->second.inner,
-                             it->second.sendTs);
-      ++stats_.delivered;
-      ++il.nextExpected;
-    }
-    if (il.nackCeiling < il.nextExpected) il.nackCeiling = il.nextExpected;
-    sendAck(self, sender, il, 0, 0);
+  if (s - il.nextExpected > cfg_.holdbackCap) {
+    // Past the receive window: the sender's RTO re-offers it later.
+    ++stats_.holdbackOverflow;
+    sendAck(self, sender, d.senderInc, &il);
+    return;
+  }
+  if (il.isSeen(s)) {
+    ++stats_.duplicatesDropped;
+    sendAck(self, sender, d.senderInc, &il);
     return;
   }
 
-  // Gap: hold if there is room (drop-newest past the cap — the sender's
-  // retransmit timer re-offers it once the window drains).
-  if (il.holdback.count(d.seq) != 0) {
-    ++stats_.duplicatesDropped;
-    sendAck(self, sender, il, 0, 0);
-    return;
+  if (s >= il.frontier) {
+    // This arrival reveals [frontier, s) as holes. Each becomes overdue one
+    // jitter bound from now: a copy merely reordered by the latency model
+    // arrives before that and never draws a NACK.
+    if (s > il.frontier) {
+      const SimTime due = rt_.now() + linkClass(self, sender).jitter;
+      for (uint64_t h = il.frontier; h < s; ++h) il.nackAt[il.slot(h)] = due;
+      // Overdue times grow with the reveal order, so an armed timer is
+      // never later than `due`.
+      if (il.nackTimer == exec::kNoEvent) armNack(self, sender, il, due);
+    }
+    il.frontier = s + 1;
   }
-  if (il.holdback.size() >= cfg_.holdbackCap) {
-    ++stats_.holdbackOverflow;
-    sendAck(self, sender, il, 0, 0);
-    return;
+  if (s == il.nextExpected) {
+    // Advance past the seqs already delivered out of order, clearing their
+    // bits so the ring only ever holds seqs above nextExpected.
+    ++il.nextExpected;
+    while (il.nextExpected < il.frontier && il.isSeen(il.nextExpected)) {
+      il.seen[il.slot(il.nextExpected) / 64] &=
+          ~(uint64_t{1} << (il.nextExpected % 64));
+      ++il.nextExpected;
+    }
+  } else {
+    il.seen[il.slot(s) / 64] |= uint64_t{1} << (s % 64);
   }
-  il.holdback.emplace(d.seq, Held{d.inner, d.sendTs});
-  uint64_t nackFrom = 0;
-  uint64_t nackTo = 0;
-  if (d.seq > il.nackCeiling) {
-    // This arrival WIDENED the gap: request the missing prefix once.
-    nackFrom = il.nextExpected;
-    nackTo = d.seq;
-    il.nackCeiling = d.seq;
+  rt_.deliverFromChannel(sender, self, d.inner, d.sendTs);
+  ++stats_.delivered;
+  sendAck(self, sender, d.senderInc, &il);
+}
+
+void Plane::armNack(ProcessId self, ProcessId sender, InLink& il,
+                    SimTime at) {
+  il.nackTimer = rt_.timer(self, at - rt_.now(),
+                           [this, self, sender]() { onNackDue(self, sender); });
+}
+
+void Plane::onNackDue(ProcessId self, ProcessId sender) {
+  InLink& il = in(self, sender);
+  il.nackTimer = exec::kNoEvent;
+  const SimTime now = rt_.now();
+  SimTime next = kTimeNever;
+  overdue_.clear();
+  for (uint64_t s = il.nextExpected; s < il.frontier; ++s) {
+    if (il.isSeen(s)) continue;
+    SimTime& at = il.nackAt[il.slot(s)];
+    if (at <= now) {
+      // Overdue: name it once. A lost retransmission is the RTO's job.
+      at = kTimeNever;
+      if (!overdue_.empty() && overdue_.back().to == s) {
+        ++overdue_.back().to;
+      } else {
+        overdue_.push_back({s, s + 1});
+      }
+    } else if (at != kTimeNever) {
+      next = std::min(next, at);
+    }
+  }
+  for (size_t i = 0; i < overdue_.size(); i += kNackRuns) {
     ++stats_.nacksSent;
+    sendAck(self, sender, il.peerInc, &il, overdue_.data() + i,
+            std::min(kNackRuns, overdue_.size() - i));
   }
-  sendAck(self, sender, il, nackFrom, nackTo);
+  if (next != kTimeNever) armNack(self, sender, il, next);
 }
 
 WANMC_HOT void Plane::sendAck(ProcessId self, ProcessId sender,
-                              const InLink& il, uint64_t nackFrom,
-                              uint64_t nackTo) {
-  // wanmc-lint: allow(D5): one AckPacket per DATA arrival; pooled ACKs
-  // ride with the DataPacket arena item above
-  auto ack = std::make_shared<AckPacket>();
-  ack->cumAck = il.nextExpected;
-  ack->nackFrom = nackFrom;
-  ack->nackTo = nackTo;
+                              uint32_t senderInc, const InLink* il,
+                              const SeqRun* nack, size_t nackRuns) {
+  auto ack = std::allocate_shared<AckPacket>(
+      PoolAllocator<AckPacket>(&rt_.payloadArena()));
+  ack->senderInc = senderInc;
   ack->receiverInc = rt_.incarnation(self);
-  ack->epoch = il.epoch;
+  if (il != nullptr) {
+    ack->cumAck = il->nextExpected;
+    // The SACK words are the seen ring's words from the cumulative ack's
+    // word upwards (bits below cumAck are always clear).
+    const size_t words = il->seen.size();
+    const size_t first = il->slot(ack->cumAck) / 64;
+    for (size_t w = 0; w < std::min(kSackWords, words); ++w)
+      ack->sack[w] = il->seen[(first + w) % words];
+  }
+  for (size_t i = 0; i < nackRuns; ++i) ack->nack[i] = nack[i];
+  ack->nackRuns = static_cast<uint32_t>(nackRuns);
   ++stats_.acksSent;
   rt_.channelSend(self, sender, std::move(ack), Layer::kChannel);
 }
 
-WANMC_HOT void Plane::handleAck(ProcessId acker, ProcessId self,
-                                const AckPacket& a) {
-  if (a.receiverInc != rt_.incarnation(acker)) {
-    ++stats_.staleDropped;  // an ACK from the acker's dead incarnation
-    return;
-  }
-  OutLink& ol = out(self, acker);
-  if (ol.peerKnown && a.receiverInc != ol.peerInc) {
-    // The receiver reincarnated since we last heard from it: re-key the
-    // link. This ACK's cumAck/NACK describe a dead sequence space.
-    ol.peerInc = a.receiverInc;
-    rekey(self, acker, ol);
-    return;
-  }
-  ol.peerInc = a.receiverInc;
-  ol.peerKnown = true;
-  if (a.epoch != ol.epoch) {
-    ++stats_.staleDropped;  // pre-rekey ACK still in flight
-    return;
-  }
-  const uint64_t oldBase = ol.base;
-  while (ol.base < a.cumAck && !ol.window.empty()) {
-    ol.window.pop_front();
-    ++ol.base;
-  }
-  if (ol.window.empty()) {
-    ol.timerArmed = false;
-    ++ol.timerGen;
-    ol.backoff = 0;
-  } else if (ol.base != oldBase) {
-    ol.backoff = 0;  // forward progress: the link is alive again
-  }
-  if (a.nackTo > a.nackFrom) {
-    const uint64_t lo = std::max(a.nackFrom, ol.base);
-    const uint64_t hi = std::min(a.nackTo, ol.nextSeq);
-    for (uint64_t s = lo; s < hi; ++s) {
-      ++stats_.retransmits;
-      transmit(self, acker, ol, s, ol.window[s - ol.base]);
-    }
-  }
-}
-
 void Plane::onReset(ProcessId pid) {
   // `pid` recovered as a fresh incarnation: both endpoints of every link it
-  // touches forget the dead incarnation's state. Its fresh sends open new
-  // sequence spaces (peers adopt them on the incarnation change); peers'
-  // links TO it re-key lazily when its fresh ACKs reveal the incarnation.
+  // touches forget the dead incarnation's state (its timers are guarded
+  // and never fire). Its fresh sends open new sequence spaces (peers adopt
+  // them on the incarnation change); peers' links TO it re-key when its
+  // fresh ACKs reveal the incarnation.
   for (ProcessId peer = 0; peer < n_; ++peer) {
     out(pid, peer) = OutLink{};
     in(pid, peer) = InLink{};

@@ -199,13 +199,13 @@ struct FaultStats {
 // All-zero when channels are off.
 struct ChannelStats {
   uint64_t dataSent = 0;           // first transmissions of protocol packets
-  uint64_t retransmits = 0;        // timer- or NACK-triggered resends
-  uint64_t acksSent = 0;           // cumulative ACK control packets
-  uint64_t nacksSent = 0;          // ACKs that carried a gap request
+  uint64_t retransmits = 0;        // RTO, NACK and re-key resends
+  uint64_t acksSent = 0;           // control packets (cumAck + SACK)
+  uint64_t nacksSent = 0;          // control packets naming overdue holes
   uint64_t duplicatesDropped = 0;  // (sender incarnation, seq) already seen
-  uint64_t staleDropped = 0;       // wrong incarnation/epoch packets
-  uint64_t holdbackOverflow = 0;   // out-of-order copies past the buffer cap
-  uint64_t delivered = 0;          // in-order handoffs to the stacks
+  uint64_t staleDropped = 0;       // from or to a dead incarnation
+  uint64_t holdbackOverflow = 0;   // copies beyond the receive window
+  uint64_t delivered = 0;          // exactly-once handoffs, in any order
   friend bool operator==(const ChannelStats&, const ChannelStats&) = default;
 };
 

@@ -53,10 +53,11 @@ struct StackConfig {
   SimTime batchWindow = 0;
   int batchMaxSize = 0;
   // Reliable-channel substrate (src/channel/): when armed, every non-FD
-  // send/sendToMany is routed through a per-link retransmitting ARQ plane,
-  // restoring the quasi-reliable FIFO channel contract the algorithms were
-  // proved against — delivery obligations then bind through healed
-  // partitions and probabilistic loss (RunConfig::lossRate). Off =
+  // send/sendToMany is routed through a per-link selective-repeat ARQ
+  // plane, restoring the quasi-reliable channel contract the algorithms
+  // were proved against (no loss, no duplicates; order is not promised,
+  // as on the direct path) — delivery obligations then bind through
+  // healed partitions and probabilistic loss (RunConfig::lossRate). Off =
   // byte-identical to the direct send path (pinned by every pre-existing
   // golden fingerprint).
   bool reliableChannels = false;

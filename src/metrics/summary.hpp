@@ -85,7 +85,7 @@ struct Summary {
   FaultStats faults;
 
   // Reliable-channel substrate counters (src/channel/): retransmits, ACKs,
-  // duplicate/stale suppression, holdback overflow. Maintained by the
+  // duplicate/stale suppression, receive-window overflow. Maintained by the
   // channel plane and injected at Experiment::harvest (they are not
   // reconstructible from the trace). All-zero when channels are off.
   ChannelStats channels;

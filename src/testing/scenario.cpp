@@ -840,7 +840,7 @@ std::vector<Scenario> standardFaultMatrix(core::ProtocolKind kind,
   }
   // iid per-copy wire loss at 1%, 5%, and 10%: the classic lossy-WAN
   // regime. Without channels these rates would void liveness (a lost copy
-  // is gone for good); with them the go-back-N/NACK machinery must recover
+  // is gone for good); with them the selective-repeat machinery must recover
   // every gap, so the full suite applies at every rate.
   for (double lossP : {0.01, 0.05, 0.10}) {
     std::string tag = "chan-loss-p";  // append: GCC 12 -Wrestrict
@@ -854,7 +854,7 @@ std::vector<Scenario> standardFaultMatrix(core::ProtocolKind kind,
     out.push_back(std::move(s));
   }
   if (traits.toleratesCrashes) {
-    // Channels x crash-recovery: the incarnation/epoch machinery is what
+    // Channels x crash-recovery: the incarnation keying is what
     // keeps a recovered endpoint from replaying its dead incarnation's
     // sequence space. Same script as crash-recover, channels armed.
     Scenario s = makeBase("chan-crash-recover", LatencyPreset::kWan);

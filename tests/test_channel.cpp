@@ -1,11 +1,14 @@
 // Unit tests for the reliable retransmitting channel substrate
-// (src/channel/): per-link sequencing and FIFO delivery under reorder,
-// loss recovery via RTO retransmit and NACK fast resend, duplicate and
-// stale-incarnation suppression, the bounded holdback buffer, and the
-// loss model underneath it all.
+// (src/channel/): exactly-once delivery in any order under reorder, loss
+// recovery via selective RTO retransmit and overdue-hole NACKs, duplicate
+// and stale-incarnation suppression, the bounded receive window, a wire
+// that duplicates every copy, and the loss model underneath it all.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -72,8 +75,14 @@ std::vector<int> iota(int n) {
   return out;
 }
 
+// The quasi-reliable contract: every id exactly once, in any order.
+std::vector<int> sorted(std::vector<int> ids) {
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
 // ---------------------------------------------------------------------------
-// FIFO and counters on a clean link.
+// Counters on a clean link, and reordering passed through.
 // ---------------------------------------------------------------------------
 
 TEST(Channel, CleanLinkDeliversInOrderWithMinimalTraffic) {
@@ -94,17 +103,21 @@ TEST(Channel, CleanLinkDeliversInOrderWithMinimalTraffic) {
   EXPECT_EQ(s.holdbackOverflow, 0u);
 }
 
-TEST(Channel, ReorderingJitterIsMaskedByTheHoldback) {
+TEST(Channel, ReorderingJitterDrawsNoNackOrRetransmit) {
   // Wide iid jitter: 30 copies drawn independently from [1ms, 50ms] arrive
-  // scrambled, but each link must hand them up strictly in send order.
+  // scrambled. Each is handed up once, on arrival, and no hole is overdue
+  // before the jitter bound has passed, so nothing is NACKed or re-sent.
   ChanFixture f(1, 2, sim::LatencyModel{kMs, 50 * kMs, kMs, 50 * kMs});
   for (int i = 0; i < 30; ++i)
     f.rt.send(0, 1, std::make_shared<TestMsg>(i));
   f.rt.run(30 * kSec);
-  EXPECT_EQ(f.idsAt(1), iota(30));
+  EXPECT_EQ(sorted(f.idsAt(1)), iota(30));
   EXPECT_EQ(f.plane.stats().delivered, 30u);
-  // The premise actually bit: at least one arrival opened a gap.
-  EXPECT_GT(f.plane.stats().nacksSent, 0u)
+  EXPECT_EQ(f.plane.stats().nacksSent, 0u);
+  EXPECT_EQ(f.plane.stats().retransmits, 0u);
+  // The premise actually bit: the wire reordered, and the channel passed
+  // the reordering through instead of holding copies back.
+  EXPECT_NE(f.idsAt(1), iota(30))
       << "seed 1 must scramble at least one pair for this test to bite; "
          "pick another seed if the latency RNG changes";
 }
@@ -113,25 +126,26 @@ TEST(Channel, ReorderingJitterIsMaskedByTheHoldback) {
 // Loss recovery.
 // ---------------------------------------------------------------------------
 
-TEST(Channel, LossIsRecoveredExactlyOnceInOrder) {
+TEST(Channel, LossIsRecoveredExactlyOnce) {
   ChanFixture f(2, 1, sim::LatencyModel::fixed(kMs, 100 * kMs));
   f.rt.setLossRate(0.3);
   for (int i = 0; i < 30; ++i)
     f.rt.send(0, 1, std::make_shared<TestMsg>(i));
   f.rt.run(120 * kSec);
-  EXPECT_EQ(f.idsAt(1), iota(30));  // every loss masked, no dup, no reorder
+  EXPECT_EQ(sorted(f.idsAt(1)), iota(30));  // every loss masked, no dup
   const auto& s = f.plane.stats();
   EXPECT_GT(f.rt.trace().lossDrops, 0u);
   EXPECT_GT(s.retransmits, 0u);
   EXPECT_EQ(s.delivered, 30u);
-  // A retransmitted copy whose original got through is suppressed by seq.
-  EXPECT_GT(s.duplicatesDropped, 0u);
+  // Selective repeat: every re-send answers a lost copy (DATA, ACK or
+  // NACK), never a copy the receiver was known to hold.
+  EXPECT_LE(s.retransmits, f.rt.trace().lossDrops);
 }
 
 TEST(Channel, BoundedHoldbackOverflowStillConvergesViaRetransmit) {
-  // Drop the first transmission of seq 0 only: seqs 1..4 arrive in order
-  // behind the gap, the 2-slot holdback keeps {1,2} and sheds {3,4}
-  // (drop-newest), and the NACK + RTO machinery re-offers everything.
+  // Drop the first transmission of seq 0 only: seqs 1..4 arrive behind the
+  // gap, the receive window (seq 0 plus two above it) takes {1,2} and
+  // sheds {3,4}, and the NACK + RTO machinery re-offers the rest.
   channel::Config cfg;
   cfg.holdbackCap = 2;
   ChanFixture f(1, 2, sim::LatencyModel::fixed(kMs, 100 * kMs), cfg);
@@ -147,12 +161,40 @@ TEST(Channel, BoundedHoldbackOverflowStillConvergesViaRetransmit) {
   for (int i = 0; i < 5; ++i)
     f.rt.send(0, 1, std::make_shared<TestMsg>(i));
   f.rt.run(30 * kSec);
-  EXPECT_EQ(f.idsAt(1), iota(5));
+  EXPECT_EQ(sorted(f.idsAt(1)), iota(5));
   const auto& s = f.plane.stats();
-  EXPECT_EQ(s.holdbackOverflow, 2u);  // seqs 3 and 4 found the buffer full
+  EXPECT_EQ(s.holdbackOverflow, 2u);  // seqs 3 and 4 fell beyond the window
   EXPECT_GT(s.nacksSent, 0u);         // the gap was NACKed...
   EXPECT_GT(s.retransmits, 0u);       // ...and re-offered
   EXPECT_EQ(s.delivered, 5u);
+}
+
+TEST(Channel, NackDoesNotRepeatAFreshRetransmit) {
+  // Seq 0 is lost; seq 1, sent 10ms later, reveals the hole at 110ms and
+  // the NACK reaches p0 at ~210ms. The RTO (203ms here) has re-sent seq 0
+  // by then: the NACK left before that copy could have arrived, so it must
+  // not draw a second copy.
+  ChanFixture f(2, 1, sim::LatencyModel::fixed(kMs, 100 * kMs));
+  ASSERT_EQ(f.plane.rto(), 203 * kMs);
+  int dropped = 0;
+  f.rt.setDropFilter([&dropped](ProcessId, ProcessId, const Payload& p) {
+    const auto* d = dynamic_cast<const channel::DataPacket*>(&p);
+    if (d != nullptr && d->seq == 0 && dropped == 0) {
+      ++dropped;
+      return true;
+    }
+    return false;
+  });
+  f.rt.send(0, 1, std::make_shared<TestMsg>(0));
+  f.rt.scheduler().at(10 * kMs, [&f]() {
+    f.rt.send(0, 1, std::make_shared<TestMsg>(1));
+  });
+  f.rt.run(10 * kSec);
+  EXPECT_EQ(sorted(f.idsAt(1)), iota(2));
+  const auto& s = f.plane.stats();
+  EXPECT_EQ(s.nacksSent, 1u);
+  EXPECT_EQ(s.retransmits, 1u);
+  EXPECT_EQ(s.duplicatesDropped, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -181,8 +223,8 @@ TEST(Channel, StaleIncarnationCopiesAreDroppedNotDelivered) {
 TEST(Channel, ReceiverRecoveryRekeysTheLinkAndReoffersTheBacklog) {
   // p1 acks ids 0..1, crashes, and rejoins as an amnesiac while p0 still
   // holds unacked ids 2..4. p1's fresh ACK reveals the new incarnation;
-  // p0 must re-key the link (new epoch, sequence space from 0) and
-  // re-offer the backlog, which the fresh p1 delivers in order.
+  // p0 must re-key the link (keyed to the fresh incarnation, sequence space
+  // from 0) and re-offer the backlog, which the fresh p1 delivers once.
   ChanFixture f(2, 1, sim::LatencyModel::fixed(kMs, 100 * kMs));
   for (int i = 0; i < 2; ++i)
     f.rt.send(0, 1, std::make_shared<TestMsg>(i));
@@ -198,6 +240,129 @@ TEST(Channel, ReceiverRecoveryRekeysTheLinkAndReoffersTheBacklog) {
   // (ids 0..1 died with the old incarnation's state — by design).
   EXPECT_EQ(f.idsAt(1), (std::vector<int>{2, 3, 4}));
   EXPECT_GT(f.plane.stats().retransmits, 0u);
+}
+
+TEST(Channel, FreshReceiverDropsDataAddressedToItsDeadIncarnation) {
+  // The same script, observed at the seam: ids 2..4 leave p0 keyed to p1's
+  // dead incarnation and land on the fresh one at 400ms, BEFORE any ACK of
+  // the fresh incarnation has reached p0. Handing them up on arrival would
+  // deliver them twice once the re-key re-offers them; the fresh receiver
+  // must drop all three and let its ACKs trigger the re-key instead.
+  ChanFixture f(2, 1, sim::LatencyModel::fixed(kMs, 100 * kMs));
+  for (int i = 0; i < 2; ++i)
+    f.rt.send(0, 1, std::make_shared<TestMsg>(i));
+  f.rt.scheduleCrash(1, 250 * kMs);
+  f.rt.scheduler().at(300 * kMs, [&f]() {
+    for (int i = 2; i < 5; ++i)
+      f.rt.send(0, 1, std::make_shared<TestMsg>(i));
+  });
+  f.rt.scheduleRecover(1, 390 * kMs);
+  f.rt.run(450 * kMs);  // the old-space copies have landed; no re-key yet
+  EXPECT_TRUE(f.idsAt(1).empty());
+  EXPECT_EQ(f.plane.stats().staleDropped, 3u);
+  EXPECT_EQ(f.plane.stats().retransmits, 0u);
+  f.rt.run(60 * kSec);
+  // The re-offered backlog, each packet exactly once.
+  EXPECT_EQ(sorted(f.idsAt(1)), (std::vector<int>{2, 3, 4}));
+  EXPECT_EQ(f.plane.stats().retransmits, 3u);  // one re-key re-offer each
+  EXPECT_EQ(f.plane.stats().duplicatesDropped, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Adversary below the ARQ plane: a wire that duplicates every copy.
+// ---------------------------------------------------------------------------
+
+// Test-only decorator between the runtime and the plane: every wire copy
+// reaches the plane twice. It also reads each ACK on its way in, so the
+// test knows which seqs a sender has been told the receiver holds.
+class DuplicatingWire final : public exec::ChannelHook {
+ public:
+  explicit DuplicatingWire(channel::Plane& plane) : plane_(plane) {}
+
+  void onSend(ProcessId from, const std::vector<ProcessId>& tos,
+              const PayloadPtr& payload, uint64_t sendTs) override {
+    plane_.onSend(from, tos, payload, sendTs);
+  }
+  void onWireArrive(ProcessId from, ProcessId to,
+                    const PayloadPtr& payload) override {
+    if (const auto* a = dynamic_cast<const channel::AckPacket*>(payload.get()))
+      recordAck(/*sender=*/to, /*receiver=*/from, *a);
+    plane_.onWireArrive(from, to, payload);
+    plane_.onWireArrive(from, to, payload);
+  }
+  void onReset(ProcessId pid) override { plane_.onReset(pid); }
+
+  // True once an ACK of `receiver` covering `seq` (cumulatively or by
+  // SACK) has reached `sender`.
+  bool acked(ProcessId sender, ProcessId receiver, uint64_t seq) const {
+    const auto it = acked_.find({sender, receiver});
+    return it != acked_.end() &&
+           (seq < it->second.cum || it->second.sacked.count(seq) != 0);
+  }
+
+ private:
+  struct Known {
+    uint64_t cum = 0;
+    std::set<uint64_t> sacked;
+  };
+  void recordAck(ProcessId sender, ProcessId receiver,
+                 const channel::AckPacket& a) {
+    Known& k = acked_[{sender, receiver}];
+    k.cum = std::max(k.cum, a.cumAck);
+    for (size_t w = 0; w < channel::kSackWords; ++w)
+      for (uint64_t b = 0; b < 64; ++b)
+        if ((a.sack[w] >> b & 1) != 0)
+          k.sacked.insert(a.sackBase() + 64 * w + b);
+  }
+
+  channel::Plane& plane_;
+  std::map<std::pair<ProcessId, ProcessId>, Known> acked_;
+};
+
+TEST(Channel, DuplicatingWireUnderJitterAndLossDeliversExactlyOnce) {
+  // Four processes multicast to each other over [1ms, 50ms] iid jitter and
+  // 5% loss, with every surviving copy (DATA and ACK alike) arriving twice.
+  ChanFixture f(2, 2, sim::LatencyModel{kMs, 50 * kMs, kMs, 50 * kMs});
+  DuplicatingWire wire(f.plane);
+  f.rt.setChannelHook(&wire);
+  f.rt.setLossRate(0.05);
+  int sackedResends = 0;
+  f.rt.setDropFilter([&](ProcessId from, ProcessId to, const Payload& p) {
+    const auto* d = dynamic_cast<const channel::DataPacket*>(&p);
+    if (d != nullptr && wire.acked(from, to, d->seq)) ++sackedResends;
+    return false;  // observe every transmission, drop nothing
+  });
+  constexpr int kPerSender = 60;
+  for (ProcessId p = 0; p < 4; ++p) {
+    std::vector<ProcessId> others;
+    for (ProcessId q = 0; q < 4; ++q)
+      if (q != p) others.push_back(q);
+    for (int i = 0; i < kPerSender; ++i)
+      f.rt.scheduler().at((p + 4 * i) * kMs, [&f, p, others, i]() {
+        f.rt.multicast(p, others,
+                       std::make_shared<TestMsg>(1000 * p + i));
+      });
+  }
+  f.rt.run(120 * kSec);
+
+  for (ProcessId to = 0; to < 4; ++to) {
+    std::map<ProcessId, std::vector<int>> perLink;
+    for (const auto& [from, id] : f.hosts[static_cast<size_t>(to)]->got)
+      perLink[from].push_back(id - 1000 * from);
+    for (ProcessId from = 0; from < 4; ++from) {
+      if (from == to) continue;
+      EXPECT_EQ(sorted(perLink[from]), iota(kPerSender))
+          << "link p" << from << " -> p" << to;
+    }
+  }
+  const auto& s = f.plane.stats();
+  EXPECT_EQ(s.delivered, 4u * 3u * kPerSender);
+  EXPECT_EQ(sackedResends, 0);
+  // The adversary bit: losses were recovered and every copy was doubled.
+  EXPECT_GT(f.rt.trace().lossDrops, 0u);
+  EXPECT_GT(s.retransmits, 0u);
+  EXPECT_GE(s.duplicatesDropped, s.dataSent);
+  EXPECT_EQ(s.staleDropped, 0u);
 }
 
 // ---------------------------------------------------------------------------
