@@ -9,8 +9,9 @@
 #   scripts/check.sh lint       ... wanmc-lint determinism rules (self-test
 #                                   + live tree) and clang-tidy, if installed
 #   scripts/check.sh tsan       ... TSan build; the threaded surface only:
-#                                   jobs=4 golden matrix, parallel-vs-serial
-#                                   sweep equality, 100-seed sweep
+#                                   jobs=4 matrix pass (goldens included),
+#                                   parallel-vs-serial sweep equality,
+#                                   100-seed sweep
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -62,8 +63,8 @@ case "$TIER" in
       -DWANMC_BUILD_BENCH=OFF -DWANMC_BUILD_EXAMPLES=OFF
     cmake --build "$TSAN_DIR" -j "$JOBS"
     # WANMC_JOBS=4 forces the worker pool on even on small runners, so the
-    # golden matrix and the sweeps genuinely exercise the threaded paths.
-    WANMC_JOBS=4 "$TSAN_DIR/test_golden_fingerprints"
+    # matrix pass and the sweeps genuinely exercise the threaded paths.
+    WANMC_JOBS=4 "$TSAN_DIR/test_scenario_matrix"
     WANMC_JOBS=4 "$TSAN_DIR/test_seed_sweep"
     # The exec::ThreadedRuntime backend: one matrix cell per stack on both
     # backends, same safety properties demanded of each (the CI

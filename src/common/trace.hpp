@@ -148,14 +148,6 @@ struct RunTrace {
     return best;
   }
 
-  [[nodiscard]] std::optional<int64_t> maxLatencyDegree() const {
-    auto all = allLatencyDegrees();
-    if (all.empty()) return std::nullopt;
-    int64_t best = all.front();
-    for (int64_t v : all) best = std::max(best, v);
-    return best;
-  }
-
   // Max simulated wall-clock delay between cast and last delivery of m.
   [[nodiscard]] std::optional<SimTime> wallLatency(MsgId id) const {
     auto cast = castOf(id);

@@ -9,6 +9,7 @@
 //   r.trace.latencyDegree(...); r.checkAtomicSuite(); ...
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <stdexcept>
 #include <memory>
@@ -55,7 +56,56 @@ enum class ProtocolKind {
   kDetMerge00,     // [1]: deterministic merge — degree 1, strong model
 };
 
-[[nodiscard]] const char* protocolName(ProtocolKind k);
+// The one table of protocol names, in enum order: the CLI and
+// RunOptions key, the display name (fingerprinted scenario names embed
+// it), and the identifier-safe name parameterized gtest suites print.
+struct ProtocolInfo {
+  ProtocolKind kind;
+  const char* key;
+  const char* name;
+  const char* testName;
+};
+inline constexpr ProtocolInfo kProtocols[] = {
+    {ProtocolKind::kA1, "a1", "A1 (this paper)", "A1"},
+    {ProtocolKind::kFritzke98, "fritzke98", "Fritzke et al. 98 [5]",
+     "Fritzke98"},
+    {ProtocolKind::kDelporte00, "delporte00", "Delporte & Fauconnier 00 [4]",
+     "Ring"},
+    {ProtocolKind::kRodrigues98, "rodrigues98", "Rodrigues et al. 98 [10]",
+     "Rodrigues98"},
+    {ProtocolKind::kViaBcast, "viabcast", "non-genuine via A-BCast",
+     "ViaBcast"},
+    {ProtocolKind::kSkeen87, "skeen87", "Skeen 87 [2] (failure-free)",
+     "Skeen87"},
+    {ProtocolKind::kA2, "a2", "A2 (this paper)", "A2"},
+    {ProtocolKind::kSousa02, "sousa02", "Sousa et al. 02 [12]", "Sousa02"},
+    {ProtocolKind::kVicente02, "vicente02", "Vicente & Rodrigues 02 [13]",
+     "Vicente02"},
+    {ProtocolKind::kDetMerge00, "detmerge00", "Aguilera & Strom 00 [1]",
+     "DetMerge00"},
+};
+
+[[nodiscard]] constexpr const ProtocolInfo& protocolInfo(ProtocolKind k) {
+  return kProtocols[static_cast<size_t>(k)];
+}
+
+// Every protocol, in table order (for ::testing::ValuesIn and sweeps).
+inline constexpr auto kAllProtocols = [] {
+  std::array<ProtocolKind, std::size(kProtocols)> out{};
+  for (size_t i = 0; i < out.size(); ++i) out[i] = kProtocols[i].kind;
+  return out;
+}();
+static_assert(
+    [] {
+      for (size_t i = 0; i < kAllProtocols.size(); ++i)
+        if (static_cast<size_t>(kAllProtocols[i]) != i) return false;
+      return true;
+    }(),
+    "protocolInfo indexes kProtocols by enum value");
+
+[[nodiscard]] constexpr const char* protocolName(ProtocolKind k) {
+  return protocolInfo(k).name;
+}
 [[nodiscard]] bool isBroadcastProtocol(ProtocolKind k);
 
 struct RunConfig {
@@ -84,11 +134,6 @@ struct RunConfig {
   // Installed at construction; generation starts once run() begins. More
   // workloads can be layered on with Experiment::addWorkload.
   std::optional<workload::Spec> workload{};
-};
-
-struct CrashPlan {
-  ProcessId pid = kNoProcess;
-  SimTime when = 0;
 };
 
 struct RunResult {
@@ -191,10 +236,9 @@ class Experiment {
                                         SimTime until = kTimeNever);
 
   // Run the simulation until `until` (or exhaustion) and harvest results.
+  // May be called again to continue (e.g. cast more, run again): results
+  // are cumulative.
   RunResult run(SimTime until = 300 * kSec);
-
-  // Continue a run (e.g. cast more, run again) — results are cumulative.
-  RunResult runMore(SimTime until);
 
  private:
   friend class workload::Generator;

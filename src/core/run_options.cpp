@@ -1,23 +1,17 @@
 #include "core/run_options.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 namespace wanmc::core {
 
 std::optional<ProtocolKind> protocolFromName(const std::string& name) {
-  if (name == "a1") return ProtocolKind::kA1;
-  if (name == "fritzke98") return ProtocolKind::kFritzke98;
-  if (name == "delporte00") return ProtocolKind::kDelporte00;
-  if (name == "rodrigues98") return ProtocolKind::kRodrigues98;
-  if (name == "skeen87") return ProtocolKind::kSkeen87;
-  if (name == "viabcast") return ProtocolKind::kViaBcast;
-  if (name == "a2") return ProtocolKind::kA2;
-  if (name == "sousa02") return ProtocolKind::kSousa02;
-  if (name == "vicente02") return ProtocolKind::kVicente02;
-  if (name == "detmerge00") return ProtocolKind::kDetMerge00;
+  for (const ProtocolInfo& p : kProtocols)
+    if (name == p.key) return p.kind;
   return std::nullopt;
 }
 
@@ -29,37 +23,37 @@ std::optional<exec::Backend> backendFromName(const std::string& name) {
 
 namespace {
 
-// The identifier-safe protocol key serialize() emits (protocolName() has
-// spaces and citation brackets).
-const char* protocolKey(ProtocolKind k) {
-  switch (k) {
-    case ProtocolKind::kA1: return "a1";
-    case ProtocolKind::kFritzke98: return "fritzke98";
-    case ProtocolKind::kDelporte00: return "delporte00";
-    case ProtocolKind::kRodrigues98: return "rodrigues98";
-    case ProtocolKind::kSkeen87: return "skeen87";
-    case ProtocolKind::kViaBcast: return "viabcast";
-    case ProtocolKind::kA2: return "a2";
-    case ProtocolKind::kSousa02: return "sousa02";
-    case ProtocolKind::kVicente02: return "vicente02";
-    case ProtocolKind::kDetMerge00: return "detmerge00";
-  }
-  return "?";
+// The one number reader of both parse paths: the WHOLE token must be a
+// number of type T in range ("3x", "0.1abc", "5ms" and "" are not).
+template <typename T>
+std::optional<T> readNumber(const std::string& s) {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (s.empty() || ec != std::errc{} || ptr != end) return std::nullopt;
+  return v;
 }
 
-long long intOrDie(const std::string& s, const char* flag) {
-  size_t used = 0;
-  long long v = 0;
-  try {
-    v = std::stoll(s, &used);
-  } catch (const std::exception&) {
-    used = std::string::npos;
-  }
-  if (s.empty() || used != s.size()) {
+template <typename T>
+T numberOrDie(const std::string& s, const char* flag) {
+  const auto v = readNumber<T>(s);
+  if (!v) {
     std::fprintf(stderr, "%s: '%s' is not a number\n", flag, s.c_str());
     std::exit(2);
   }
-  return v;
+  return *v;
+}
+
+// "lo:hi" with both bounds whole numbers.
+bool readRange(const std::string& s, SimTime& lo, SimTime& hi) {
+  const auto colon = s.find(':');
+  if (colon == std::string::npos) return false;
+  const auto l = readNumber<SimTime>(s.substr(0, colon));
+  const auto h = readNumber<SimTime>(s.substr(colon + 1));
+  if (!l || !h) return false;
+  lo = *l;
+  hi = *h;
+  return true;
 }
 
 }  // namespace
@@ -84,25 +78,25 @@ bool RunOptions::consumeFlag(const std::string& arg,
     }
     protocol = *p;
   } else if (arg == "--groups") {
-    groups = static_cast<int>(intOrDie(next(), "--groups"));
+    groups = numberOrDie<int>(next(), "--groups");
   } else if (arg == "--procs") {
-    procsPerGroup = static_cast<int>(intOrDie(next(), "--procs"));
+    procsPerGroup = numberOrDie<int>(next(), "--procs");
   } else if (arg == "--seed") {
-    seed = static_cast<uint64_t>(intOrDie(next(), "--seed"));
+    seed = numberOrDie<uint64_t>(next(), "--seed");
   } else if (arg == "--dest-groups") {
-    destGroups = static_cast<int>(intOrDie(next(), "--dest-groups"));
+    destGroups = numberOrDie<int>(next(), "--dest-groups");
   } else if (arg == "--inter-ms") {
-    const SimTime v = intOrDie(next(), "--inter-ms") * kMs;
+    const SimTime v = numberOrDie<SimTime>(next(), "--inter-ms") * kMs;
     latency.interMin = latency.interMax = v;
   } else if (arg == "--intra-us") {
-    const SimTime v = intOrDie(next(), "--intra-us");
+    const SimTime v = numberOrDie<SimTime>(next(), "--intra-us");
     latency.intraMin = latency.intraMax = v;
   } else if (arg == "--batch-window") {
-    batchWindow = intOrDie(next(), "--batch-window") * kMs;
+    batchWindow = numberOrDie<SimTime>(next(), "--batch-window") * kMs;
   } else if (arg == "--batch-max") {
-    batchMaxSize = static_cast<int>(intOrDie(next(), "--batch-max"));
+    batchMaxSize = numberOrDie<int>(next(), "--batch-max");
   } else if (arg == "--loss") {
-    lossRate = std::atof(next().c_str());
+    lossRate = numberOrDie<double>(next(), "--loss");
   } else if (arg == "--reliable-channels") {
     reliableChannels = true;
   } else {
@@ -139,7 +133,7 @@ void RunOptions::validate() const {
 std::string RunOptions::serialize() const {
   std::ostringstream os;
   os << "backend=" << exec::backendName(backend)
-     << " protocol=" << protocolKey(protocol) << " groups=" << groups
+     << " protocol=" << protocolInfo(protocol).key << " groups=" << groups
      << " procs=" << procsPerGroup << " seed=" << seed
      << " intra=" << latency.intraMin << ":" << latency.intraMax
      << " inter=" << latency.interMin << ":" << latency.interMax
@@ -154,59 +148,49 @@ std::optional<RunOptions> RunOptions::parse(const std::string& text) {
   RunOptions out;
   std::istringstream is(text);
   std::string tok;
-  auto range = [](const std::string& v, SimTime& lo, SimTime& hi) {
-    const auto colon = v.find(':');
-    if (colon == std::string::npos) return false;
-    try {
-      lo = std::stoll(v.substr(0, colon));
-      hi = std::stoll(v.substr(colon + 1));
-    } catch (const std::exception&) {
-      return false;
-    }
-    return true;
+  // Reads `v` into `field`; false (reject the line) when it is malformed.
+  auto read = [](const std::string& v, auto& field) {
+    const auto n = readNumber<std::remove_reference_t<decltype(field)>>(v);
+    if (n) field = *n;
+    return n.has_value();
   };
   while (is >> tok) {
     const auto eq = tok.find('=');
     if (eq == std::string::npos) return std::nullopt;
     const std::string k = tok.substr(0, eq);
     const std::string v = tok.substr(eq + 1);
-    try {
-      if (k == "backend") {
-        const auto b = backendFromName(v);
-        if (!b) return std::nullopt;
-        out.backend = *b;
-      } else if (k == "protocol") {
-        const auto p = protocolFromName(v);
-        if (!p) return std::nullopt;
-        out.protocol = *p;
-      } else if (k == "groups") {
-        out.groups = std::stoi(v);
-      } else if (k == "procs") {
-        out.procsPerGroup = std::stoi(v);
-      } else if (k == "seed") {
-        out.seed = std::stoull(v);
-      } else if (k == "intra") {
-        if (!range(v, out.latency.intraMin, out.latency.intraMax))
-          return std::nullopt;
-      } else if (k == "inter") {
-        if (!range(v, out.latency.interMin, out.latency.interMax))
-          return std::nullopt;
-      } else if (k == "batch-window") {
-        out.batchWindow = std::stoll(v);
-      } else if (k == "batch-max") {
-        out.batchMaxSize = std::stoi(v);
-      } else if (k == "loss") {
-        out.lossRate = std::stod(v);
-      } else if (k == "channels") {
-        out.reliableChannels = std::stoi(v) != 0;
-      } else if (k == "dest-groups") {
-        out.destGroups = std::stoi(v);
-      } else {
-        return std::nullopt;
-      }
-    } catch (const std::exception&) {
-      return std::nullopt;
+    bool ok = false;
+    if (k == "backend") {
+      const auto b = backendFromName(v);
+      if (b) out.backend = *b;
+      ok = b.has_value();
+    } else if (k == "protocol") {
+      const auto p = protocolFromName(v);
+      if (p) out.protocol = *p;
+      ok = p.has_value();
+    } else if (k == "groups") {
+      ok = read(v, out.groups);
+    } else if (k == "procs") {
+      ok = read(v, out.procsPerGroup);
+    } else if (k == "seed") {
+      ok = read(v, out.seed);
+    } else if (k == "intra") {
+      ok = readRange(v, out.latency.intraMin, out.latency.intraMax);
+    } else if (k == "inter") {
+      ok = readRange(v, out.latency.interMin, out.latency.interMax);
+    } else if (k == "batch-window") {
+      ok = read(v, out.batchWindow);
+    } else if (k == "batch-max") {
+      ok = read(v, out.batchMaxSize);
+    } else if (k == "loss") {
+      ok = read(v, out.lossRate);
+    } else if (k == "channels") {
+      ok = v == "0" || v == "1";
+      out.reliableChannels = v == "1";
+    } else if (k == "dest-groups") {
+      ok = read(v, out.destGroups);
     }
+    if (!ok) return std::nullopt;
   }
   return out;
 }

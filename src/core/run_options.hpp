@@ -31,8 +31,8 @@
 
 namespace wanmc::core {
 
-// nullopt on an unknown name. The inverses are protocolName (experiment
-// .hpp) and exec::backendName.
+// nullopt on an unknown name. The inverses are protocolInfo(k).key
+// (experiment.hpp) and exec::backendName.
 [[nodiscard]] std::optional<ProtocolKind> protocolFromName(
     const std::string& name);
 [[nodiscard]] std::optional<exec::Backend> backendFromName(
@@ -66,7 +66,9 @@ struct RunOptions {
 
   // One-line "k=v" serialization (stable key order), and its inverse.
   // parse() accepts exactly the keys serialize() emits, in any order, and
-  // returns nullopt on an unknown key or malformed value.
+  // returns nullopt on an unknown key, a token without '=', or a malformed
+  // value: a number must be the whole value ("groups=3x" and
+  // "batch-window=5ms" are rejected) and channels is 0 or 1.
   [[nodiscard]] std::string serialize() const;
   [[nodiscard]] static std::optional<RunOptions> parse(
       const std::string& text);

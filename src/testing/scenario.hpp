@@ -194,10 +194,6 @@ struct ProtocolTraits {
 [[nodiscard]] ProtocolTraits traitsOf(core::ProtocolKind kind,
                                       bool bootstrapArmed = false);
 
-// Short identifier-safe protocol name for parameterized gtest suites
-// (core::protocolName contains spaces/brackets, which gtest rejects).
-[[nodiscard]] const char* protocolTestName(core::ProtocolKind kind);
-
 // Sound default expectations for `kind` in a run with/without crashes/drops.
 [[nodiscard]] PropertyExpectations defaultExpectations(
     core::ProtocolKind kind, bool anyCrashes, bool anyDrops);
@@ -294,27 +290,24 @@ class ScenarioRunner {
 // The shared crash/drop/seed matrix every protocol stack is tested under.
 // ---------------------------------------------------------------------------
 
-struct MatrixOptions {
-  int groups = 3;
-  int procsPerGroup = 3;
-  int casts = 8;
-  SimTime castInterval = 70 * kMs;
-  int seedsPerCell = 2;     // seeds per (latency x fault) cell
-  uint64_t firstSeed = 1;
-};
-
-// Builds the standard scenario matrix for `kind`: failure-free LAN/WAN/
-// mixed runs, minority-crash runs, sender-crash runs, targeted and
-// probabilistic drop runs — each swept over seedsPerCell seeds, with
-// expectations derived from the protocol's traits. Scenarios a protocol
-// cannot meet (crashes for Skeen87) are omitted.
+// Builds the standard scenario matrix for `kind`, one scenario per row of
+// a fixed table: failure-free runs on three latency presets, minority and
+// sender crashes, targeted and probabilistic omission, open-loop and
+// skewed workloads, heartbeat-detector, partition, crash-recovery,
+// batching, reliable-channel, bootstrap and churn cells. Each row is a
+// delta over one base — a 3x3 topology, 8 closed-loop casts 70ms apart —
+// named "<protocolName>/<tag>/<latency>", with expectations derived from
+// the protocol's traits (plus a floor of one delivery wherever liveness is
+// checked). Cells a protocol cannot meet (crashes for Skeen87 and
+// DetMerge00) are omitted.
 [[nodiscard]] std::vector<Scenario> standardFaultMatrix(
-    core::ProtocolKind kind, const MatrixOptions& opt = {});
+    core::ProtocolKind kind);
 
-// Runs the whole matrix and returns every result (one per scenario seed).
-// Seed sweeps within each scenario use the thread pool (see sweepSeeds).
+// Runs every cell of the matrix under seeds 1..seedsPerCell and returns
+// the results, cell by cell in table order and by seed within a cell.
+// All (cell, seed) runs share one worker pool (size as in sweepSeeds).
 [[nodiscard]] std::vector<ScenarioResult> runStandardMatrix(
-    core::ProtocolKind kind, const MatrixOptions& opt = {}, int jobs = 0);
+    core::ProtocolKind kind, int seedsPerCell);
 
 // Resolves a job-count request: explicit `jobs` > 0 wins, else the
 // WANMC_JOBS environment variable, else hardware_concurrency; always

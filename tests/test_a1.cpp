@@ -3,7 +3,6 @@
 
 #include "amcast/a1_node.hpp"
 #include "core/experiment.hpp"
-#include "testing/scenario.hpp"
 
 namespace wanmc {
 namespace {
@@ -302,14 +301,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 3, 4),
                        ::testing::Values(1, 2, 3),
                        ::testing::Values(1, 2, 3)));
-
-// The shared crash/drop/seed matrix every stack runs under (ScenarioRunner;
-// see tests/test_scenario_matrix.cpp for the all-protocol sweep).
-TEST(A1, StandardFaultMatrix) {
-  for (const auto& r :
-       wanmc::testing::runStandardMatrix(ProtocolKind::kA1))
-    EXPECT_TRUE(r.ok()) << r.report();
-}
 
 }  // namespace
 }  // namespace wanmc

@@ -3,7 +3,6 @@
 
 #include "abcast/a2_node.hpp"
 #include "core/experiment.hpp"
-#include "testing/scenario.hpp"
 
 namespace wanmc {
 namespace {
@@ -95,7 +94,7 @@ TEST(A2, RestartAfterQuiescenceStaysLive) {
   auto r1 = ex.run(10 * kSec);
   EXPECT_EQ(r1.trace.deliveries.size(), 4u);
   ex.castAllAt(20 * kSec, 3, "y");
-  auto r2 = ex.runMore(60 * kSec);
+  auto r2 = ex.run(60 * kSec);
   EXPECT_TRUE(r2.checkAtomicSuite().empty()) << r2.checkAtomicSuite()[0];
   EXPECT_EQ(r2.trace.deliveries.size(), 8u);
 }
@@ -167,13 +166,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 3, 4),
                        ::testing::Values(1, 2, 3),
                        ::testing::Values(1, 2, 3)));
-
-// The shared crash/drop/seed matrix every stack runs under (ScenarioRunner).
-TEST(A2, StandardFaultMatrix) {
-  for (const auto& r :
-       wanmc::testing::runStandardMatrix(ProtocolKind::kA2))
-    EXPECT_TRUE(r.ok()) << r.report();
-}
 
 }  // namespace
 }  // namespace wanmc

@@ -5,7 +5,6 @@
 
 #include "abcast/sequencer_node.hpp"
 #include "core/experiment.hpp"
-#include "testing/scenario.hpp"
 
 namespace wanmc {
 namespace {
@@ -301,32 +300,6 @@ TEST(DetMerge00, NeverQuiescent) {
   // quiescence for its latency degree of 1.
   auto v = verify::checkQuiescence(r.checkContext(), r.lastAlgoSend, 5 * kSec);
   EXPECT_FALSE(v.empty());
-}
-
-// The remaining baselines' shared fault matrices (the other stacks run
-// theirs from their own test files).
-TEST(Baselines, Fritzke98StandardFaultMatrix) {
-  for (const auto& r :
-       wanmc::testing::runStandardMatrix(ProtocolKind::kFritzke98))
-    EXPECT_TRUE(r.ok()) << r.report();
-}
-
-TEST(Baselines, Rodrigues98StandardFaultMatrix) {
-  for (const auto& r :
-       wanmc::testing::runStandardMatrix(ProtocolKind::kRodrigues98))
-    EXPECT_TRUE(r.ok()) << r.report();
-}
-
-TEST(Baselines, ViaBcastStandardFaultMatrix) {
-  for (const auto& r :
-       wanmc::testing::runStandardMatrix(ProtocolKind::kViaBcast))
-    EXPECT_TRUE(r.ok()) << r.report();
-}
-
-TEST(Baselines, DetMergeStandardFaultMatrix) {
-  for (const auto& r :
-       wanmc::testing::runStandardMatrix(ProtocolKind::kDetMerge00))
-    EXPECT_TRUE(r.ok()) << r.report();
 }
 
 }  // namespace

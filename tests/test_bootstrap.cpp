@@ -104,15 +104,8 @@ TEST_P(RejoinSmoke, RecoveredProcessRejoins) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Protocols, RejoinSmoke,
-    ::testing::Values(ProtocolKind::kA1, ProtocolKind::kFritzke98,
-                      ProtocolKind::kDelporte00, ProtocolKind::kRodrigues98,
-                      ProtocolKind::kViaBcast, ProtocolKind::kSkeen87,
-                      ProtocolKind::kA2, ProtocolKind::kSousa02,
-                      ProtocolKind::kVicente02, ProtocolKind::kDetMerge00),
-    [](const auto& info) {
-      return wanmc::testing::protocolTestName(info.param);
-    });
+    Protocols, RejoinSmoke, ::testing::ValuesIn(core::kAllProtocols),
+    [](const auto& info) { return core::protocolInfo(info.param).testName; });
 
 // ---------------------------------------------------------------------------
 // Adversity: the handshake's failure paths.

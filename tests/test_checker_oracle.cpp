@@ -1,155 +1,23 @@
 // The indexed verify:: checkers against the reference oracle
-// (tests/verify_oracle.hpp, the original per-process-set implementations).
-// Every checker's violation list must be byte-identical to the oracle's on
-// every standard-matrix cell of all ten protocols, on damaged copies of
-// those traces, and on synthetic traces that reach the rarely taken paths.
+// (tests/verify_oracle.hpp, the original per-process-set implementations)
+// on synthetic traces that reach the rarely taken paths. The same
+// comparison over every standard-matrix cell of all ten protocols, and
+// over damaged copies of those traces, runs in the one matrix pass
+// (tests/test_scenario_matrix.cpp).
 //
 // The StreamingOrder suite keeps the prefix-order cases first written for
-// the observer-fed order checker that the trace checkers replaced, and
-// checks every matrix cell's Summary against the trace's per-id helpers
-// (tests/summary_oracle.hpp).
+// the observer-fed order checker that the trace checkers replaced.
 #include <gtest/gtest.h>
 
 #include <string>
-#include <utility>
-#include <vector>
 
-#include "common/rng.hpp"
-#include "summary_oracle.hpp"
-#include "testing/scenario.hpp"
+#include "core/experiment.hpp"
 #include "verify_oracle.hpp"
 
 namespace wanmc {
 namespace {
 
-using core::ProtocolKind;
-using testing::MatrixOptions;
-using testing::ScenarioResult;
-
-constexpr ProtocolKind kAllProtocols[] = {
-    ProtocolKind::kA1,        ProtocolKind::kFritzke98,
-    ProtocolKind::kDelporte00, ProtocolKind::kRodrigues98,
-    ProtocolKind::kViaBcast,  ProtocolKind::kSkeen87,
-    ProtocolKind::kA2,        ProtocolKind::kSousa02,
-    ProtocolKind::kVicente02, ProtocolKind::kDetMerge00,
-};
-
-// EXPECT_EQs every trace checker against the oracle on `ctx`; returns the
-// number of violations the suite and the seven checkers reported.
-size_t expectMatchesOracle(const verify::CheckContext& ctx,
-                           const std::string& label) {
-  using Checker = verify::Violations (*)(const verify::CheckContext&);
-  const std::pair<Checker, Checker> pairs[] = {
-      {verify::checkUniformIntegrity, verify_oracle::checkUniformIntegrity},
-      {verify::checkRecoveredDelivery, verify_oracle::checkRecoveredDelivery},
-      {verify::checkValidity, verify_oracle::checkValidity},
-      {verify::checkUniformAgreement, verify_oracle::checkUniformAgreement},
-      {verify::checkAgreementCorrectOnly,
-       verify_oracle::checkAgreementCorrectOnly},
-      {verify::checkUniformPrefixOrder,
-       verify_oracle::checkUniformPrefixOrder},
-      {verify::checkPrefixOrderCorrectOnly,
-       verify_oracle::checkPrefixOrderCorrectOnly},
-      {verify::checkAtomicSuite, verify_oracle::checkAtomicSuite},
-  };
-  size_t found = 0;
-  for (size_t i = 0; i < std::size(pairs); ++i) {
-    const verify::Violations fast = pairs[i].first(ctx);
-    EXPECT_EQ(fast, pairs[i].second(ctx)) << label << " checker #" << i;
-    found += fast.size();
-  }
-  return found;
-}
-
-// Damaged copies of a run's trace, one per kind of damage the checkers
-// must see through; each lands at a seed-drawn position. A kind that the
-// trace cannot express (too few deliveries, no process outside some
-// destination) is left out.
-std::vector<std::pair<std::string, RunTrace>> mutants(
-    const core::RunResult& r, SplitMix64& rng) {
-  std::vector<std::pair<std::string, RunTrace>> out;
-  const auto& ds = r.trace.deliveries;
-  if (ds.empty()) return out;
-  auto pick = [&rng](size_t n) {
-    return static_cast<size_t>(rng.uniform(0, static_cast<int64_t>(n) - 1));
-  };
-  auto mutant = [&](const char* kind, auto&& edit) {
-    RunTrace t = r.trace;
-    edit(t.deliveries);
-    out.emplace_back(kind, std::move(t));
-  };
-  auto insertAt = [&](std::vector<DeliveryEvent>& v, DeliveryEvent d) {
-    const size_t at = pick(v.size() + 1);
-    if (at < v.size()) d.when = v[at].when;
-    v.insert(v.begin() + static_cast<std::ptrdiff_t>(at), d);
-  };
-
-  if (ds.size() >= 2) {
-    const size_t i = pick(ds.size() - 1);
-    mutant("adjacent swap", [&](auto& v) { std::swap(v[i], v[i + 1]); });
-  }
-  {
-    const size_t i = pick(ds.size());
-    std::vector<size_t> later;
-    for (size_t j = i + 1; j < ds.size(); ++j)
-      if (ds[j].process == ds[i].process) later.push_back(j);
-    if (!later.empty()) {
-      const size_t j = later[pick(later.size())];
-      mutant("same-process swap", [&](auto& v) { std::swap(v[i], v[j]); });
-    }
-  }
-  mutant("duplicated delivery",
-         [&](auto& v) { insertAt(v, v[pick(v.size())]); });
-  mutant("dropped delivery", [&](auto& v) {
-    v.erase(v.begin() + static_cast<std::ptrdiff_t>(pick(v.size())));
-  });
-  {
-    DeliveryEvent d = ds[pick(ds.size())];
-    d.msg = r.trace.destOf.empty() ? 1 : r.trace.destOf.rbegin()->first + 1;
-    mutant("never-cast delivery", [&](auto& v) { insertAt(v, d); });
-  }
-  {
-    std::vector<std::pair<ProcessId, MsgId>> outsiders;
-    for (const auto& c : r.trace.casts)
-      for (ProcessId p = 0; p < r.topo.numProcesses(); ++p)
-        if (!c.dest.contains(r.topo.group(p))) outsiders.emplace_back(p, c.msg);
-    if (!outsiders.empty()) {
-      const auto [p, m] = outsiders[pick(outsiders.size())];
-      DeliveryEvent d = ds[pick(ds.size())];
-      d.process = p;
-      d.msg = m;
-      mutant("non-addressee delivery", [&](auto& v) { insertAt(v, d); });
-    }
-  }
-  return out;
-}
-
-TEST(CheckerOracle, AllCheckersMatchOracleOnMatrixAndMutants) {
-  size_t contexts = 0;
-  size_t withViolations = 0;
-  SplitMix64 rng(1);
-  for (ProtocolKind kind : kAllProtocols) {
-    for (const ScenarioResult& res :
-         runStandardMatrix(kind, MatrixOptions{})) {
-      const std::string cell = res.name + " seed " + std::to_string(res.seed);
-      expectMatchesOracle(res.run.checkContext(), cell);
-      ++contexts;
-      for (int round = 0; round < 2; ++round) {
-        for (const auto& [what, trace] : mutants(res.run, rng)) {
-          const verify::CheckContext ctx{&trace, &res.run.topo,
-                                         res.run.correct};
-          if (expectMatchesOracle(ctx, cell + " / " + what) > 0)
-            ++withViolations;
-          ++contexts;
-        }
-      }
-    }
-  }
-  // The comparison only means something if the damaged traces actually
-  // drove the checkers down their reporting paths.
-  EXPECT_GT(contexts, 1000u);
-  EXPECT_GT(withViolations, contexts / 2);
-}
+using verify_oracle::expectMatchesOracle;
 
 // ---------------------------------------------------------------------------
 // Synthetic traces.
@@ -256,27 +124,8 @@ TEST(CheckerOracle, DeliveredIdsMissingFromDestOf) {
 }
 
 // ---------------------------------------------------------------------------
-// Prefix order and the metrics plane over the matrix, and synthetic
-// violating runs: the violation, its position and its wording.
+// Synthetic violating runs: the violation, its position and its wording.
 // ---------------------------------------------------------------------------
-
-TEST(StreamingOrder, MatchesTraceCheckersOnFullStandardMatrix) {
-  for (ProtocolKind kind : kAllProtocols) {
-    for (const ScenarioResult& res :
-         runStandardMatrix(kind, MatrixOptions{})) {
-      const auto ctx = res.run.checkContext();
-      EXPECT_EQ(verify::checkUniformPrefixOrder(ctx),
-                verify_oracle::checkUniformPrefixOrder(ctx))
-          << res.name;
-      EXPECT_EQ(verify::checkPrefixOrderCorrectOnly(ctx),
-                verify_oracle::checkPrefixOrderCorrectOnly(ctx))
-          << res.name;
-      // And the metrics plane: the harvested Summary against the trace's
-      // per-id latency helpers.
-      summary_oracle::expectMatchesTrace(res.run, res.name);
-    }
-  }
-}
 
 TEST(StreamingOrder, FlagsSwappedPairIdenticallyToOracle) {
   auto r = syntheticRun();

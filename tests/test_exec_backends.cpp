@@ -25,9 +25,7 @@ using core::ProtocolKind;
 // The first failure-free cell of the standard matrix: no crash schedule,
 // no drops, no partitions — the axes the threaded backend (v1) rejects.
 std::optional<testing::Scenario> failureFreeCell(ProtocolKind kind) {
-  testing::MatrixOptions opt;
-  opt.seedsPerCell = 1;
-  for (auto& s : testing::standardFaultMatrix(kind, opt)) {
+  for (auto& s : testing::standardFaultMatrix(kind)) {
     const bool faulty = !s.crashes.empty() || s.randomCrashes.has_value() ||
                         !s.recoveries.empty() ||
                         s.randomRecoveries.has_value() || s.churn.has_value() ||
@@ -63,15 +61,8 @@ TEST_P(ExecBackends, FailureFreeCellHoldsOnBothBackends) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllProtocols, ExecBackends,
-    ::testing::Values(ProtocolKind::kA1, ProtocolKind::kFritzke98,
-                      ProtocolKind::kDelporte00, ProtocolKind::kRodrigues98,
-                      ProtocolKind::kViaBcast, ProtocolKind::kSkeen87,
-                      ProtocolKind::kA2, ProtocolKind::kSousa02,
-                      ProtocolKind::kVicente02, ProtocolKind::kDetMerge00),
-    [](const auto& info) {
-      return wanmc::testing::protocolTestName(info.param);
-    });
+    AllProtocols, ExecBackends, ::testing::ValuesIn(core::kAllProtocols),
+    [](const auto& info) { return core::protocolInfo(info.param).testName; });
 
 }  // namespace
 }  // namespace wanmc

@@ -5,7 +5,6 @@
 
 #include "abcast/sequencer_node.hpp"
 #include "core/experiment.hpp"
-#include "testing/scenario.hpp"
 
 namespace wanmc {
 namespace {
@@ -180,20 +179,6 @@ TEST(Sequencer, EchoFirstSightStillSequences) {
   auto r = ex.run(600 * kSec);
   auto seqs = r.trace.sequences();
   for (ProcessId p = 0; p < 4; ++p) EXPECT_EQ(seqs[p].size(), 1u) << p;
-}
-
-// The shared fault matrix for the sequencer baselines; Sousa02's cells use
-// correct-only (non-uniform) obligations, Vicente02's the uniform suite.
-TEST(Sequencer, SousaStandardFaultMatrix) {
-  for (const auto& r :
-       wanmc::testing::runStandardMatrix(ProtocolKind::kSousa02))
-    EXPECT_TRUE(r.ok()) << r.report();
-}
-
-TEST(Sequencer, VicenteStandardFaultMatrix) {
-  for (const auto& r :
-       wanmc::testing::runStandardMatrix(ProtocolKind::kVicente02))
-    EXPECT_TRUE(r.ok()) << r.report();
 }
 
 }  // namespace

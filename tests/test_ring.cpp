@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
-#include "testing/scenario.hpp"
 
 namespace wanmc {
 namespace {
@@ -132,13 +131,6 @@ TEST(Ring, LatencyGrowsLinearlyUnlikeA1) {
       EXPECT_GT(ringWall, a1Wall);
     }
   }
-}
-
-// The shared crash/drop/seed matrix every stack runs under (ScenarioRunner).
-TEST(Ring, StandardFaultMatrix) {
-  for (const auto& r :
-       wanmc::testing::runStandardMatrix(ProtocolKind::kDelporte00))
-    EXPECT_TRUE(r.ok()) << r.report();
 }
 
 }  // namespace

@@ -70,15 +70,8 @@ TEST(ParallelSweep, MatchesSerialSweepByteForByte) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllProtocols, SeedSweep,
-    ::testing::Values(ProtocolKind::kA1, ProtocolKind::kFritzke98,
-                      ProtocolKind::kDelporte00, ProtocolKind::kRodrigues98,
-                      ProtocolKind::kViaBcast, ProtocolKind::kSkeen87,
-                      ProtocolKind::kA2, ProtocolKind::kSousa02,
-                      ProtocolKind::kVicente02, ProtocolKind::kDetMerge00),
-    [](const auto& info) {
-      return wanmc::testing::protocolTestName(info.param);
-    });
+    AllProtocols, SeedSweep, ::testing::ValuesIn(core::kAllProtocols),
+    [](const auto& info) { return core::protocolInfo(info.param).testName; });
 
 }  // namespace
 }  // namespace wanmc

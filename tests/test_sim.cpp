@@ -4,7 +4,6 @@
 
 #include "common/rng.hpp"
 #include "sim/runtime.hpp"
-#include "testing/scenario.hpp"
 
 namespace wanmc {
 namespace {
@@ -351,23 +350,15 @@ TEST(Trace, LatencyDegreeComputation) {
 
 TEST(Trace, AllLatencyDegreesMatchPerIdDegree) {
   // The one-pass degrees are latencyDegree(c.msg) for each delivered cast
-  // c, in cast order: on every A1 standard-matrix cell (crash cells leave
-  // casts undelivered) and on a repeated id, where castOf's first cast
-  // sets the baseline for both entries.
+  // c, in cast order — here on a repeated id, where castOf's first cast
+  // sets the baseline for both entries (every standard-matrix cell is
+  // compared in tests/test_scenario_matrix.cpp).
   auto perId = [](const RunTrace& t) {
     std::vector<int64_t> out;
     for (const auto& c : t.casts)
       if (auto d = t.latencyDegree(c.msg)) out.push_back(*d);
     return out;
   };
-  size_t cells = 0;
-  for (const auto& res : testing::runStandardMatrix(core::ProtocolKind::kA1)) {
-    EXPECT_EQ(res.run.trace.allLatencyDegrees(), perId(res.run.trace))
-        << res.name;
-    ++cells;
-  }
-  EXPECT_GT(cells, 10u);
-
   RunTrace t;
   t.casts.push_back(CastEvent{0, 4, GroupSet::of({0}), 3, 0});
   t.casts.push_back(CastEvent{1, 5, GroupSet::of({0}), 1, 0});

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
-#include "testing/scenario.hpp"
 
 namespace wanmc {
 namespace {
@@ -130,14 +129,6 @@ TEST(Skeen, MatchesA1OrderSemantics) {
     auto v = r.checkAtomicSuite();
     EXPECT_TRUE(v.empty()) << protocolName(kind) << ": " << v[0];
   }
-}
-
-// The shared fault matrix, which for the failure-free Skeen87 contains only
-// failure-free and omission cells (traitsOf drops the crash scenarios).
-TEST(Skeen, StandardFaultMatrix) {
-  for (const auto& r :
-       wanmc::testing::runStandardMatrix(ProtocolKind::kSkeen87))
-    EXPECT_TRUE(r.ok()) << r.report();
 }
 
 }  // namespace

@@ -371,7 +371,7 @@ TEST(Bursty, MidRunInstallNeverRewindsTheClock) {
   spec.offDuration = 300 * kMs;
   spec.burstGap = 10 * kMs;
   ex.addWorkload(spec);  // start = 10ms, long gone
-  auto r = ex.runMore(600 * kSec);
+  auto r = ex.run(600 * kSec);
   ASSERT_EQ(r.trace.casts.size(), 6u);
   SimTime prev = 5 * kSec;
   for (const auto& c : r.trace.casts) {
@@ -427,7 +427,7 @@ std::map<std::string, uint64_t> raggedWorkloadCells() {
       }
       for (const ModelCase& m : models) {
         Scenario s;
-        s.name = std::string(wanmc::testing::protocolTestName(kind)) + "/" +
+        s.name = std::string(core::protocolInfo(kind).testName) + "/" +
                  topoTag + "/" + m.tag;
         s.config.groupSizes = sizes;
         s.config.protocol = kind;

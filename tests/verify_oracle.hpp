@@ -1,9 +1,14 @@
 // Reference oracle for the verify:: property checkers: the original
 // per-process-set and per-delivery destOf-lookup implementations, kept
 // verbatim so the indexed checkers in src/verify/properties.cpp can be
-// diffed against them (tests/test_checker_oracle.cpp). Quadratic in the
-// number of process pairs times the trace length; test-only.
+// diffed against them — on synthetic traces (tests/test_checker_oracle.cpp)
+// and on every standard-matrix cell and damaged copies of its trace
+// (expectMatchesOracle + mutants, tests/test_scenario_matrix.cpp).
+// Quadratic in the number of process pairs times the trace length;
+// test-only.
 #pragma once
+
+#include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
@@ -11,8 +16,11 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "core/experiment.hpp"
 #include "verify/properties.hpp"
 
 namespace wanmc::verify_oracle {
@@ -258,6 +266,94 @@ inline Violations checkAtomicSuite(const CheckContext& ctx) {
   append(oracle::checkValidity(ctx));
   append(oracle::checkUniformAgreement(ctx));
   append(oracle::checkUniformPrefixOrder(ctx));
+  return out;
+}
+
+// EXPECT_EQs every trace checker against the oracle on `ctx`; returns the
+// number of violations the suite and the seven checkers reported.
+inline size_t expectMatchesOracle(const CheckContext& ctx,
+                                  const std::string& label) {
+  using Checker = Violations (*)(const CheckContext&);
+  const std::pair<Checker, Checker> pairs[] = {
+      {verify::checkUniformIntegrity, oracle::checkUniformIntegrity},
+      {verify::checkRecoveredDelivery, oracle::checkRecoveredDelivery},
+      {verify::checkValidity, oracle::checkValidity},
+      {verify::checkUniformAgreement, oracle::checkUniformAgreement},
+      {verify::checkAgreementCorrectOnly, oracle::checkAgreementCorrectOnly},
+      {verify::checkUniformPrefixOrder, oracle::checkUniformPrefixOrder},
+      {verify::checkPrefixOrderCorrectOnly,
+       oracle::checkPrefixOrderCorrectOnly},
+      {verify::checkAtomicSuite, oracle::checkAtomicSuite},
+  };
+  size_t found = 0;
+  for (size_t i = 0; i < std::size(pairs); ++i) {
+    const Violations fast = pairs[i].first(ctx);
+    EXPECT_EQ(fast, pairs[i].second(ctx)) << label << " checker #" << i;
+    found += fast.size();
+  }
+  return found;
+}
+
+// Damaged copies of a run's trace, one per kind of damage the checkers
+// must see through; each lands at a seed-drawn position. A kind that the
+// trace cannot express (too few deliveries, no process outside some
+// destination) is left out.
+inline std::vector<std::pair<std::string, RunTrace>> mutants(
+    const core::RunResult& r, SplitMix64& rng) {
+  std::vector<std::pair<std::string, RunTrace>> out;
+  const auto& ds = r.trace.deliveries;
+  if (ds.empty()) return out;
+  auto pick = [&rng](size_t n) {
+    return static_cast<size_t>(rng.uniform(0, static_cast<int64_t>(n) - 1));
+  };
+  auto mutant = [&](const char* kind, auto&& edit) {
+    RunTrace t = r.trace;
+    edit(t.deliveries);
+    out.emplace_back(kind, std::move(t));
+  };
+  auto insertAt = [&](std::vector<DeliveryEvent>& v, DeliveryEvent d) {
+    const size_t at = pick(v.size() + 1);
+    if (at < v.size()) d.when = v[at].when;
+    v.insert(v.begin() + static_cast<std::ptrdiff_t>(at), d);
+  };
+
+  if (ds.size() >= 2) {
+    const size_t i = pick(ds.size() - 1);
+    mutant("adjacent swap", [&](auto& v) { std::swap(v[i], v[i + 1]); });
+  }
+  {
+    const size_t i = pick(ds.size());
+    std::vector<size_t> later;
+    for (size_t j = i + 1; j < ds.size(); ++j)
+      if (ds[j].process == ds[i].process) later.push_back(j);
+    if (!later.empty()) {
+      const size_t j = later[pick(later.size())];
+      mutant("same-process swap", [&](auto& v) { std::swap(v[i], v[j]); });
+    }
+  }
+  mutant("duplicated delivery",
+         [&](auto& v) { insertAt(v, v[pick(v.size())]); });
+  mutant("dropped delivery", [&](auto& v) {
+    v.erase(v.begin() + static_cast<std::ptrdiff_t>(pick(v.size())));
+  });
+  {
+    DeliveryEvent d = ds[pick(ds.size())];
+    d.msg = r.trace.destOf.empty() ? 1 : r.trace.destOf.rbegin()->first + 1;
+    mutant("never-cast delivery", [&](auto& v) { insertAt(v, d); });
+  }
+  {
+    std::vector<std::pair<ProcessId, MsgId>> outsiders;
+    for (const auto& c : r.trace.casts)
+      for (ProcessId p = 0; p < r.topo.numProcesses(); ++p)
+        if (!c.dest.contains(r.topo.group(p))) outsiders.emplace_back(p, c.msg);
+    if (!outsiders.empty()) {
+      const auto [p, m] = outsiders[pick(outsiders.size())];
+      DeliveryEvent d = ds[pick(ds.size())];
+      d.process = p;
+      d.msg = m;
+      mutant("non-addressee delivery", [&](auto& v) { insertAt(v, d); });
+    }
+  }
   return out;
 }
 
