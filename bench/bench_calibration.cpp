@@ -200,11 +200,11 @@ int main(int argc, char** argv) {
       o.casts = 24;
       o.seeds = 1;
     } else if (arg == "--points") {
-      o.points = std::atoi(next().c_str());
+      o.points = wanmc::core::numberOrDie<int>(next(), "--points");
     } else if (arg == "--casts") {
-      o.casts = std::atoi(next().c_str());
+      o.casts = wanmc::core::numberOrDie<int>(next(), "--casts");
     } else if (arg == "--seeds") {
-      o.seeds = std::atoi(next().c_str());
+      o.seeds = wanmc::core::numberOrDie<int>(next(), "--seeds");
     } else if (arg == "--csv-out") {
       o.csvOut = next();
     } else if (arg == "--out") {

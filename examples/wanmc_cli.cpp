@@ -247,21 +247,25 @@ int sweepMain(int argc, char** argv) {
       return argv[++i];
     };
     if (ro.consumeFlag(arg, next)) continue;
-    if (arg == "--points") points = std::atoi(next().c_str());
-    else if (arg == "--casts") opt.casts = std::atoi(next().c_str());
-    else if (arg == "--cap") opt.inFlightCap = std::atoi(next().c_str());
-    else if (arg == "--seeds") opt.seedsPerPoint = std::atoi(next().c_str());
-    else if (arg == "--jobs") opt.jobs = std::atoi(next().c_str());
+    if (arg == "--points") points = core::numberOrDie<int>(next(), "--points");
+    else if (arg == "--casts")
+      opt.casts = core::numberOrDie<int>(next(), "--casts");
+    else if (arg == "--cap")
+      opt.inFlightCap = core::numberOrDie<int>(next(), "--cap");
+    else if (arg == "--seeds")
+      opt.seedsPerPoint = core::numberOrDie<int>(next(), "--seeds");
+    else if (arg == "--jobs")
+      opt.jobs = core::numberOrDie<int>(next(), "--jobs");
     else if (arg == "--interval-max-ms")
-      slowest = std::atoi(next().c_str()) * kMs;
+      slowest = core::numberOrDie<SimTime>(next(), "--interval-max-ms") * kMs;
     else if (arg == "--interval-min-ms")
-      fastest = std::atoi(next().c_str()) * kMs;
+      fastest = core::numberOrDie<SimTime>(next(), "--interval-min-ms") * kMs;
     else if (arg == "--csv-out") {
       csvOut = next();
     } else if (arg == "--check-baseline") {
       baseline = next();
     } else if (arg == "--tolerance") {
-      tolerance = std::atof(next().c_str());
+      tolerance = core::numberOrDie<double>(next(), "--tolerance");
     } else if (arg == "--help") {
       std::printf(
           "usage: wanmc_cli sweep %s\n"
@@ -339,21 +343,27 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (ro.consumeFlag(arg, next)) continue;
-    if (arg == "--msgs") spec.count = std::atoi(next().c_str());
+    if (arg == "--msgs") spec.count = core::numberOrDie<int>(next(), "--msgs");
     else if (arg == "--interval-ms") {
-      const SimTime v = std::atoi(next().c_str()) * kMs;
+      const SimTime v =
+          core::numberOrDie<SimTime>(next(), "--interval-ms") * kMs;
       spec.interval = spec.meanGap = v;  // one knob for either model family
     } else if (arg == "--workload") spec.model = parseModel(next());
-    else if (arg == "--cap") spec.inFlightCap = std::atoi(next().c_str());
+    else if (arg == "--cap")
+      spec.inFlightCap = core::numberOrDie<int>(next(), "--cap");
     else if (arg == "--zipf-sender")
-      spec.senderZipf = std::atof(next().c_str());
-    else if (arg == "--zipf-dest") spec.destZipf = std::atof(next().c_str());
+      spec.senderZipf = core::numberOrDie<double>(next(), "--zipf-sender");
+    else if (arg == "--zipf-dest")
+      spec.destZipf = core::numberOrDie<double>(next(), "--zipf-dest");
     else if (arg == "--burst-on-ms")
-      spec.onDuration = std::atoi(next().c_str()) * kMs;
+      spec.onDuration =
+          core::numberOrDie<SimTime>(next(), "--burst-on-ms") * kMs;
     else if (arg == "--burst-off-ms")
-      spec.offDuration = std::atoi(next().c_str()) * kMs;
+      spec.offDuration =
+          core::numberOrDie<SimTime>(next(), "--burst-off-ms") * kMs;
     else if (arg == "--burst-gap-ms")
-      spec.burstGap = std::atoi(next().c_str()) * kMs;
+      spec.burstGap =
+          core::numberOrDie<SimTime>(next(), "--burst-gap-ms") * kMs;
     else if (arg == "--workload-spec") {
       const std::string text = next();
       auto parsed = workload::parse(text);

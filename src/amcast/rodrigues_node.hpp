@@ -53,7 +53,10 @@ struct RodriguesPayload final : Payload {
 
 class RodriguesNode final : public core::XcastNode {
  public:
-  static constexpr uint64_t kScopeBase = 1u << 20;
+  // Per-message consensus scopes live at kScopeBase + msgId. Group scopes
+  // are gids (< 64), so a band at 2^63 is disjoint from every group scope
+  // for any message id below 2^63: no run needs a message-id budget.
+  static constexpr uint64_t kScopeBase = uint64_t{1} << 63;
 
   RodriguesNode(exec::Context& rt, ProcessId pid,
                 const core::StackConfig& cfg);

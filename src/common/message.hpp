@@ -36,6 +36,17 @@ enum class Layer : uint8_t {
 
 inline constexpr int kNumLayers = 7;
 
+// Substrate layers sit outside the paper's model: the failure detector (an
+// oracle in its accounting), the reliable-channel control traffic (links
+// are assumed quasi-reliable), and bootstrap state transfer (crash-stop
+// processes never rejoin). Their traffic is not algorithmic activity for
+// genuineness, does not reset the quiescence clock, and is left out of the
+// inter-group message count.
+[[nodiscard]] constexpr bool isSubstrate(Layer l) {
+  return l == Layer::kFailureDetector || l == Layer::kChannel ||
+         l == Layer::kBootstrap;
+}
+
 [[nodiscard]] constexpr const char* layerName(Layer l) {
   switch (l) {
     case Layer::kFailureDetector: return "fd";

@@ -1,6 +1,5 @@
 #include "core/run_options.hpp"
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -22,27 +21,6 @@ std::optional<exec::Backend> backendFromName(const std::string& name) {
 }
 
 namespace {
-
-// The one number reader of both parse paths: the WHOLE token must be a
-// number of type T in range ("3x", "0.1abc", "5ms" and "" are not).
-template <typename T>
-std::optional<T> readNumber(const std::string& s) {
-  T v{};
-  const char* end = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
-  if (s.empty() || ec != std::errc{} || ptr != end) return std::nullopt;
-  return v;
-}
-
-template <typename T>
-T numberOrDie(const std::string& s, const char* flag) {
-  const auto v = readNumber<T>(s);
-  if (!v) {
-    std::fprintf(stderr, "%s: '%s' is not a number\n", flag, s.c_str());
-    std::exit(2);
-  }
-  return *v;
-}
 
 // "lo:hi" with both bounds whole numbers.
 bool readRange(const std::string& s, SimTime& lo, SimTime& hi) {

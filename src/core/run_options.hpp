@@ -23,6 +23,9 @@
 //     (Experiment, ScenarioRunner, the sweep API) consumes.
 #pragma once
 
+#include <charconv>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <optional>
 #include <string>
@@ -30,6 +33,30 @@
 #include "core/experiment.hpp"
 
 namespace wanmc::core {
+
+// The one number reader of every flag parser and of parse(): the WHOLE
+// token must be a number of type T in range ("3x", "0.1abc", "5ms" and ""
+// are not).
+template <typename T>
+[[nodiscard]] std::optional<T> readNumber(const std::string& s) {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (s.empty() || ec != std::errc{} || ptr != end) return std::nullopt;
+  return v;
+}
+
+// readNumber for a command-line flag's value: a malformed value exits(2)
+// with "<flag>: '<value>' is not a number".
+template <typename T>
+T numberOrDie(const std::string& s, const char* flag) {
+  const auto v = readNumber<T>(s);
+  if (!v) {
+    std::fprintf(stderr, "%s: '%s' is not a number\n", flag, s.c_str());
+    std::exit(2);
+  }
+  return *v;
+}
 
 // nullopt on an unknown name. The inverses are protocolInfo(k).key
 // (experiment.hpp) and exec::backendName.

@@ -41,7 +41,6 @@ struct StackConfig {
   // forever, and only a timeout moves the round on. ScenarioRunner arms
   // this automatically for scenarios with a recovery schedule.
   SimTime consensusRoundTimeout = 0;
-  rmcast::RelayPolicy rmRelay = rmcast::RelayPolicy::kIntraOnly;
   rmcast::Uniformity rmUniformity = rmcast::Uniformity::kNonUniform;
   // Batching plane (src/core/batcher.hpp): casts sharing a (sender,
   // destination-set) key are accumulated for up to batchWindow and ordered
@@ -85,7 +84,7 @@ class StackNode : public exec::Process {
                      cfg.fdOracleDelay, cfg.fdHeartbeat,
                      cfg.fdHeartbeatRemote);
     rm_ = std::make_unique<rmcast::ReliableMulticast>(
-        rt, pid, cfg.rmRelay, cfg.rmUniformity);
+        rt, pid, rmcast::RelayPolicy::kIntraOnly, cfg.rmUniformity);
   }
 
   void onStart() override {

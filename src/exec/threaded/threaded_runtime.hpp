@@ -93,15 +93,10 @@ class ThreadedRuntime final : public Context {
   [[nodiscard]] int aliveInGroup(GroupId g) const override {
     return topo_.groupSize(g);
   }
-  void addCrashListener(ProcessId owner,
-                        std::function<void(ProcessId)> fn) override {
-    // Stored for interface parity; never fired (no crashes here).
-    crashListeners_.emplace_back(owner, std::move(fn));
-  }
-  void addRecoveryListener(ProcessId owner,
-                           std::function<void(ProcessId)> fn) override {
-    recoveryListeners_.emplace_back(owner, std::move(fn));
-  }
+  // No crashes or recoveries happen on this backend: listeners never fire.
+  void addCrashListener(ProcessId, std::function<void(ProcessId)>) override {}
+  void addRecoveryListener(ProcessId,
+                           std::function<void(ProcessId)>) override {}
   [[nodiscard]] uint64_t lamport(ProcessId pid) const override {
     return per_[static_cast<size_t>(pid)].lamport.load(
         std::memory_order_relaxed);
@@ -210,11 +205,6 @@ class ThreadedRuntime final : public Context {
   TimerWheel driverWheel_;  // harness events; driver thread only
   // Driver-slice trace entries (recordCast of batched casts).
   std::vector<CastEvent> driverCasts_;
-
-  std::vector<std::pair<ProcessId, std::function<void(ProcessId)>>>
-      crashListeners_;
-  std::vector<std::pair<ProcessId, std::function<void(ProcessId)>>>
-      recoveryListeners_;
 
   std::atomic<bool> running_{false};
   std::atomic<bool> stopFlag_{false};

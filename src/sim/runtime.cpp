@@ -53,10 +53,7 @@ WANMC_HOT void Runtime::multicast(ProcessId from,
   senderClock = sendTs;
 
   if (layer != Layer::kFailureDetector) {
-    // Bootstrap state transfer is substrate control traffic, like the FD
-    // and the channel plane's ACK/NACK: it neither counts as algorithmic
-    // activity (genuineness) nor resets the quiescence clock.
-    if (layer != Layer::kBootstrap) {
+    if (!isSubstrate(layer)) {
       lastAlgoSend_ = sched_.now();
       sentAlgo_[static_cast<size_t>(from)] = 1;
     }
@@ -83,39 +80,44 @@ WANMC_HOT void Runtime::multicast(ProcessId from,
   f->sendTs = sendTs;
   f->pending = 0;
 
-  auto& counter = traffic_.at(layer);
   size_t idx = 0;
   for (ProcessId to : tos) {
     const bool inter = interScratch_[idx++] != 0;
-    if (inter) {
-      ++counter.inter;
-    } else {
-      ++counter.intra;
-    }
-    if (recordWire_ || !sendObservers_.empty()) {
-      const WireEvent ev{from, to, layer, inter, sched_.now()};
-      if (recordWire_) trace_.wire.push_back(ev);
-      for (RunObserver* o : sendObservers_) o->onSend(ev);
-    }
-
-    // Cut links drop the copy before the latency draw, exactly like the
-    // drop filter: link state never perturbs the RNG stream of the copies
-    // that do go out.
-    if (anyLinkState_ && !linkUp(from, to)) {
-      ++trace_.linkDrops;
-      continue;
-    }
-    if (drop_ && drop_(from, to, *f->payload)) continue;
-    if (lossP_ > 0 && lossRng_.uniform01() < lossP_) {
-      ++trace_.lossDrops;
-      continue;
-    }
-
-    const SimTime delay = drawLatency(inter);
+    const auto delay = admitCopy(from, to, layer, inter, *f->payload);
+    if (!delay) continue;
     ++f->pending;
-    sched_.at(sched_.now() + delay, Delivery{this, f, to});
+    sched_.at(sched_.now() + *delay, Delivery{this, f, to});
   }
   if (f->pending == 0) releaseFanout(f);  // every copy dropped
+}
+
+WANMC_HOT std::optional<SimTime> Runtime::admitCopy(ProcessId from,
+                                                    ProcessId to, Layer layer,
+                                                    bool inter,
+                                                    const Payload& payload) {
+  auto& counter = traffic_.at(layer);
+  if (inter) {
+    ++counter.inter;
+  } else {
+    ++counter.intra;
+  }
+  if (recordWire_ || !sendObservers_.empty()) {
+    const WireEvent ev{from, to, layer, inter, sched_.now()};
+    if (recordWire_) trace_.wire.push_back(ev);
+    for (RunObserver* o : sendObservers_) o->onSend(ev);
+  }
+  // Cut links and the drop filter act before any draw: they never perturb
+  // the RNG streams of the copies that do go out.
+  if (anyLinkState_ && !linkUp(from, to)) {
+    ++trace_.linkDrops;
+    return std::nullopt;
+  }
+  if (drop_ && drop_(from, to, payload)) return std::nullopt;
+  if (lossP_ > 0 && lossRng_.uniform01() < lossP_) {
+    ++trace_.lossDrops;
+    return std::nullopt;
+  }
+  return drawLatency(inter);
 }
 
 void Runtime::setLossRate(double p) {
@@ -133,65 +135,40 @@ WANMC_HOT void Runtime::channelSend(ProcessId from, ProcessId to,
   assert(payload != nullptr);
   assert(channelHook_ != nullptr);
   if (crashed(from)) return;  // crash between enqueue and (re)transmit
-  const bool inter = !topo_.sameGroup(from, to);
-  auto& counter = traffic_.at(accountLayer);
-  if (inter) {
-    ++counter.inter;
-  } else {
-    ++counter.intra;
-  }
-  // Channel control traffic (ACK/NACK) is substrate, like FD: it neither
-  // counts as algorithmic activity nor resets the quiescence clock. DATA
-  // (re)transmissions are accounted under their inner layer and do —
-  // except bootstrap DATA, which is substrate all the way down.
-  if (accountLayer != Layer::kFailureDetector &&
-      accountLayer != Layer::kChannel &&
-      accountLayer != Layer::kBootstrap) {
+  // DATA (re)transmissions are accounted under their inner layer and count
+  // as algorithmic activity unless that layer is substrate itself; ACK/NACK
+  // are accounted under kChannel and never do.
+  if (!isSubstrate(accountLayer)) {
     lastAlgoSend_ = sched_.now();
     sentAlgo_[static_cast<size_t>(from)] = 1;
   }
-  if (recordWire_ || !sendObservers_.empty()) {
-    const WireEvent ev{from, to, accountLayer, inter, sched_.now()};
-    if (recordWire_) trace_.wire.push_back(ev);
-    for (RunObserver* o : sendObservers_) o->onSend(ev);
-  }
-  if (anyLinkState_ && !linkUp(from, to)) {
-    ++trace_.linkDrops;
-    return;
-  }
-  if (drop_ && drop_(from, to, *payload)) return;
-  if (lossP_ > 0 && lossRng_.uniform01() < lossP_) {
-    ++trace_.lossDrops;
-    return;
-  }
-  const SimTime delay = drawLatency(inter);
-  sched_.at(sched_.now() + delay,
+  const bool inter = !topo_.sameGroup(from, to);
+  const auto delay = admitCopy(from, to, accountLayer, inter, *payload);
+  if (!delay) return;
+  sched_.at(sched_.now() + *delay,
             ChanDelivery{this, from, to, std::move(payload)});
+}
+
+WANMC_HOT void Runtime::receive(ProcessId from, ProcessId to, Layer layer,
+                                uint64_t sendTs, const PayloadPtr& payload) {
+  if (crashed(to)) return;  // to a crashed process: vanishes
+  // Receive event (rule 3): the receiver's clock jumps to
+  // max(LC, ts(send(m))).
+  uint64_t& recvClock = lamport_[static_cast<size_t>(to)];
+  recvClock = std::max(recvClock, sendTs);
+  if (!isSubstrate(layer)) recvAlgo_[static_cast<size_t>(to)] = 1;
+  nodes_[static_cast<size_t>(to)]->onMessage(from, payload);
 }
 
 void Runtime::deliverFromChannel(ProcessId from, ProcessId to,
                                  const PayloadPtr& payload, uint64_t sendTs) {
-  if (crashed(to)) return;
-  // Receive event (rule 3) against the ORIGINAL send stamp: however many
-  // retransmissions it took, the Lamport cost model sees one send event.
-  uint64_t& recvClock = lamport_[static_cast<size_t>(to)];
-  recvClock = std::max(recvClock, sendTs);
-  if (payload->layer() != Layer::kFailureDetector &&
-      payload->layer() != Layer::kBootstrap)
-    recvAlgo_[static_cast<size_t>(to)] = 1;
-  nodes_[static_cast<size_t>(to)]->onMessage(from, payload);
+  // Stamped with the ORIGINAL send: however many retransmissions it took,
+  // the Lamport cost model sees one send event.
+  receive(from, to, payload->layer(), sendTs, payload);
 }
 
 WANMC_HOT void Runtime::deliverCopy(Fanout& f, ProcessId to) {
-  if (!crashed(to)) {  // to a crashed process: vanishes
-    // Receive event (rule 3): the receiver's clock jumps to
-    // max(LC, ts(send(m))).
-    uint64_t& recvClock = lamport_[static_cast<size_t>(to)];
-    recvClock = std::max(recvClock, f.sendTs);
-    if (f.layer != Layer::kFailureDetector && f.layer != Layer::kBootstrap)
-      recvAlgo_[static_cast<size_t>(to)] = 1;
-    nodes_[static_cast<size_t>(to)]->onMessage(f.from, f.payload);
-  }
+  receive(f.from, to, f.layer, f.sendTs, f.payload);
   if (--f.pending == 0) releaseFanout(&f);
 }
 

@@ -22,6 +22,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -85,7 +86,6 @@ class Runtime final : public exec::Context {
   // runs until quiescence or `until`.
   void start();
   uint64_t run(SimTime until = kTimeNever, uint64_t maxEvents = UINT64_MAX);
-  bool stepOne() { return sched_.step(); }
 
   [[nodiscard]] SimTime now() const override { return sched_.now(); }
   [[nodiscard]] Scheduler& scheduler() { return sched_; }
@@ -219,10 +219,6 @@ class Runtime final : public exec::Context {
   // Is the (directed) link from->to up right now?
   [[nodiscard]] bool linkUp(ProcessId from, ProcessId to) const;
 
-  [[nodiscard]] FaultStats faultStats() const {
-    return faultStatsOf(trace_);
-  }
-
   // ---- instrumentation -----------------------------------------------------
 
   [[nodiscard]] uint64_t lamport(ProcessId pid) const override {
@@ -355,6 +351,19 @@ class Runtime final : public exec::Context {
     fanoutFree_.push_back(f);
   }
   WANMC_HOT void deliverCopy(Fanout& f, ProcessId to);
+
+  // The one per-copy send step of multicast and channelSend: traffic
+  // count, wire recording and send observers, then the fault plane in its
+  // fixed order (link state, drop filter, loss coin) and the latency draw.
+  // Returns the copy's delay, or nullopt when the copy is dropped.
+  WANMC_HOT std::optional<SimTime> admitCopy(ProcessId from, ProcessId to,
+                                             Layer layer, bool inter,
+                                             const Payload& payload);
+  // The one receive step of deliverCopy and deliverFromChannel: Lamport
+  // jump to `sendTs`, algorithmic-receive flag, Node::onMessage. A copy to
+  // a crashed process vanishes.
+  WANMC_HOT void receive(ProcessId from, ProcessId to, Layer layer,
+                         uint64_t sendTs, const PayloadPtr& payload);
 
   Topology topo_;
   ArenaPool payloadArena_;  // first: destroyed after nodes and events

@@ -80,6 +80,14 @@ TEST(RunOptions, CliFlagsRejectMalformedNumbers) {
               "--loss: 'abc' is not a number");
   EXPECT_EXIT(consume("--groups", "3x"), ::testing::ExitedWithCode(2),
               "--groups: '3x' is not a number");
+  // The same reader backs every tool's own numeric flags (wanmc_cli's
+  // --msgs, --casts, --tolerance, ...; bench_calibration's --points, ...).
+  EXPECT_EQ(core::numberOrDie<double>("0.5", "--tolerance"), 0.5);
+  EXPECT_EXIT(core::numberOrDie<int>("abc", "--msgs"),
+              ::testing::ExitedWithCode(2), "--msgs: 'abc' is not a number");
+  EXPECT_EXIT(core::numberOrDie<SimTime>("5ms", "--interval-ms"),
+              ::testing::ExitedWithCode(2),
+              "--interval-ms: '5ms' is not a number");
 }
 
 TEST(RunOptions, ValidateThrowsOnOutOfRangeKnobs) {
